@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import stats
+
+from repro.core._binomial import binom_cdf
 
 ArrayLike = Union[int, float, np.ndarray]
 
@@ -74,13 +75,14 @@ class AssociativeStateModel:
         """P(an untouched resident line survives ``n`` foreign misses).
 
         The binomial tail P(Binom(n, 1/S) <= W-1); reduces to k**n for
-        the direct-mapped case.
+        the direct-mapped case.  Defined for real ``n`` (the binomial
+        coefficients are falling-factorial products), so the bisection in
+        :meth:`half_life` sees a continuous curve.
         """
         n = np.asarray(misses, dtype=float)
         if np.any(n < 0):
             raise ValueError("miss counts must be non-negative")
-        p_set = 1.0 / self.num_sets
-        out = stats.binom.cdf(self.ways - 1, n, p_set)
+        out = binom_cdf(self.ways - 1, n, 1.0 / self.num_sets)
         return float(out) if out.ndim == 0 else out
 
     def expected_independent(

@@ -26,7 +26,8 @@ form in :mod:`repro.core.model`.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+
+from repro.core._binomial import binom_pmf
 
 
 def dependent_transition_matrix(num_lines: int, q: float) -> np.ndarray:
@@ -159,4 +160,4 @@ def stationary_distribution(num_lines: int, q: float) -> np.ndarray:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"sharing coefficient must be in [0, 1], got {q}")
-    return stats.binom.pmf(np.arange(num_lines + 1), num_lines, q)
+    return binom_pmf(num_lines, q)

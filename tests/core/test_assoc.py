@@ -1,5 +1,8 @@
 """Tests for the W-way associative model extension."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,53 @@ class TestSurvival:
             AssociativeStateModel(256, 2).survival(-1)
 
 
+def exact_tail(num_lines, ways, n):
+    """P(Binom(n, W/N) <= W-1) in exact rational arithmetic."""
+    p = Fraction(ways, num_lines)
+    return float(sum(
+        math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(min(ways, n + 1))
+    ))
+
+
+class TestClosedForm:
+    """The survival tail is evaluated in closed form; pin it exactly."""
+
+    @pytest.mark.parametrize("num_lines,ways", [(4, 1), (8, 2), (16, 4), (64, 4), (32, 8)])
+    def test_matches_exact_rational_tail(self, num_lines, ways):
+        model = AssociativeStateModel(num_lines, ways)
+        misses = np.arange(0, 12 * num_lines + 1)
+        ours = model.survival(misses)
+        for n in misses:
+            assert ours[n] == pytest.approx(
+                exact_tail(num_lines, ways, int(n)), rel=1e-12, abs=0.0
+            )
+
+    def test_direct_mapped_is_k_to_the_n_at_real_n(self):
+        model = AssociativeStateModel(1024, 1)
+        k = 1023 / 1024
+        for n in (0.5, 10.5, 709.436, 1234.75):
+            assert model.survival(n) == pytest.approx(k**n, rel=1e-12)
+
+    def test_direct_mapped_half_life_is_exact(self):
+        """The bisection sees real midpoints, so it lands on the true
+        root ln 0.5 / ln k rather than on an integer."""
+        for num_lines in (256, 1024):
+            k = (num_lines - 1) / num_lines
+            assert AssociativeStateModel(num_lines, 1).half_life() == pytest.approx(
+                math.log(0.5) / math.log(k), abs=1e-9
+            )
+
+    def test_defined_between_integer_misses(self):
+        model = AssociativeStateModel(1024, 4)
+        lo, mid, hi = model.survival(np.asarray([10.0, 10.5, 11.0]))
+        assert not math.isnan(mid)
+        assert hi < mid < lo
+
+    def test_fully_associative_is_a_step(self):
+        model = AssociativeStateModel(8, 8)
+        assert model.survival(np.asarray([0, 7, 8, 100])).tolist() == [1, 1, 0, 0]
+
+
 class TestValidation:
     def test_ways_must_divide_lines(self):
         with pytest.raises(ValueError):
@@ -132,6 +182,15 @@ class TestAssocTables:
         tables = AssocTables(256, 2, max_misses=10)
         with pytest.raises(ValueError):
             tables.survival(-1)
+
+    @pytest.mark.parametrize("num_lines,ways", [(256, 1), (256, 4), (1024, 2)])
+    def test_whole_horizon_matches_model(self, num_lines, ways):
+        tables = AssocTables(num_lines, ways)
+        model = AssociativeStateModel(num_lines, ways)
+        horizon = range(tables.max_misses + 1)
+        assert [tables.survival(n) for n in horizon] == (
+            model.survival(np.asarray(horizon)).tolist()
+        )
 
     def test_table_overhead_reported(self):
         tables = AssocTables(256, 4, max_misses=1000)

@@ -1,5 +1,8 @@
 """Tests for the Appendix Markov-chain derivation."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -106,9 +109,25 @@ class TestStationary:
 
     def test_degenerate_q(self):
         pi0 = stationary_distribution(8, 0.0)
-        assert pi0[0] == pytest.approx(1.0)
+        assert pi0.tolist() == [1.0] + [0.0] * 8
         pi1 = stationary_distribution(8, 1.0)
-        assert pi1[-1] == pytest.approx(1.0)
+        assert pi1.tolist() == [0.0] * 8 + [1.0]
+
+    @pytest.mark.parametrize("n_cache", [1, 2, 7, 16, 40])
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9])
+    def test_matches_exact_rational_pmf(self, n_cache, q):
+        pi = stationary_distribution(n_cache, q)
+        exact_q = Fraction(q)
+        for k in range(n_cache + 1):
+            exact = math.comb(n_cache, k) * exact_q**k * (1 - exact_q) ** (n_cache - k)
+            assert pi[k] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_cache", [64, 1024, 8192, 16384])
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9])
+    def test_normalised_with_mean_qn_at_scale(self, n_cache, q):
+        pi = stationary_distribution(n_cache, q)
+        assert abs(pi.sum() - 1.0) <= 1e-10
+        assert float(pi @ np.arange(n_cache + 1)) == pytest.approx(q * n_cache, rel=1e-10)
 
 
 class TestFootprintSpread:
