@@ -36,14 +36,11 @@ DT005   warning   id-keyed-dict-iteration: iterating a dict keyed by
                   ``id(...)`` -- insertion order follows memory layout,
                   which is not stable across runs
 DT006   error     unaudited-timer: a raw wall-clock read inside a
-                  subsystem with an audited clock (``repro/bench``,
-                  ``repro/parallel/dispatch``) outside that clock
-                  module -- timing must flow through the subsystem's
-                  one audited reader
-DT007   warning   registration-order-iteration: raw iteration over a
-                  dispatch node registry's ``.nodes`` mapping --
-                  insertion order is worker registration order, a
-                  race; use the sorted accessors
+                  subsystem with an audited clock (``repro/bench``)
+                  outside that clock module -- timing must flow
+                  through the subsystem's one audited reader
+DT007   retired   registration-order-iteration: scoped to the removed
+                  cluster dispatch layer; reserved, never reused
 MC001   error     unpredicted-deadlock: the model checker reached a
                   deadlock that the lock-order pass does not predict
 MC002   error     sync-order-violation: non-FIFO mutex/semaphore handoff
@@ -94,7 +91,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "DT004": ("warning", "unordered-iteration"),
     "DT005": ("warning", "id-keyed-dict-iteration"),
     "DT006": ("error", "unaudited-timer"),
-    "DT007": ("warning", "registration-order-iteration"),
     "MC001": ("error", "unpredicted-deadlock"),
     "MC002": ("error", "sync-order-violation"),
     "MC003": ("error", "result-divergence"),
@@ -103,6 +99,12 @@ CODES: Dict[str, Tuple[str, str]] = {
     "SA001": ("warning", "static-unannotated-sharing"),
     "SA002": ("warning", "static-unreachable-annotation"),
     "SA003": ("warning", "static-dynamic-disagreement"),
+}
+
+#: retired code -> short title: never emitted again, and never reassigned
+#: (a stale baseline entry must not take on a new meaning)
+RETIRED: Dict[str, str] = {
+    "DT007": "registration-order-iteration",
 }
 
 
@@ -119,6 +121,8 @@ class Diagnostic:
     source: str = ""
 
     def __post_init__(self) -> None:
+        if self.code in RETIRED:
+            raise ValueError(f"retired diagnostic code {self.code!r}")
         if self.code not in CODES:
             raise ValueError(f"unknown diagnostic code {self.code!r}")
 

@@ -30,7 +30,6 @@ import numpy as np
 from repro.machine.configs import ULTRA1
 from repro.machine.smp import Machine
 from repro.parallel import (
-    ClusterConfig,
     ProgressFn,
     ResultCache,
     Shard,
@@ -62,9 +61,7 @@ def run_offline_comparison(
     seed: int = 0,
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
-    backend: str = "local",
     cache: Optional[ResultCache] = None,
-    cluster: Optional[ClusterConfig] = None,
     machine_backend: str = "sim",
 ) -> Dict[str, Dict[str, float]]:
     """Per app: observed-vs-model MAE, observed-vs-replay MAE, and costs.
@@ -72,14 +69,13 @@ def run_offline_comparison(
     Each app's run is independent given (app, seed), so with
     ``jobs > 1`` the sweep fans out through :mod:`repro.parallel`; the
     merge reassembles the dict in ``apps`` order, bit-identical to the
-    serial sweep.  ``backend="cluster"`` runs apps on dispatch worker
-    nodes and ``cache`` resumes an interrupted sweep from the on-disk
-    result cache -- neither can change the merged report.
+    serial sweep.  ``cache`` resumes an interrupted sweep from the
+    on-disk result cache without changing the merged report.
 
-    ``backend`` here selects *dispatch* (local/cluster);
-    ``machine_backend`` selects the *cache* backend (sim/analytic, see
+    ``machine_backend`` selects the *cache model* (sim/analytic, see
     docs/MODEL.md "The analytic backend") and is part of each shard's
-    cache key so cached sim results never answer an analytic sweep.
+    result-cache key so cached sim results never answer an analytic
+    sweep.
     """
     shards = [
         Shard(
@@ -94,10 +90,7 @@ def run_offline_comparison(
         )
         for i, name in enumerate(apps)
     ]
-    outcomes = run_shards(
-        shards, jobs=jobs, progress=progress,
-        backend=backend, cache=cache, cluster=cluster,
-    )
+    outcomes = run_shards(shards, jobs=jobs, progress=progress, cache=cache)
     return {
         name: metrics
         for name, metrics in zip(apps, merged_values(outcomes))

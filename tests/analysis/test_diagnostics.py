@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.diagnostics import (
     CODES,
+    RETIRED,
     Diagnostic,
     Report,
     load_baseline,
@@ -14,6 +15,13 @@ from repro.analysis.diagnostics import (
 def test_unknown_code_rejected():
     with pytest.raises(ValueError):
         Diagnostic(code="XX999", message="nope")
+
+
+def test_retired_code_is_reserved_not_reusable():
+    assert "DT007" in RETIRED
+    assert not set(RETIRED) & set(CODES)
+    with pytest.raises(ValueError, match="retired"):
+        Diagnostic(code="DT007", message="nope")
 
 
 def test_severity_and_title_come_from_registry():

@@ -7,12 +7,15 @@ merged results exactly -- the campaign via its row fields and formatted
 table (the rows embed :func:`~repro.sim.driver.workload_signature`
 verdicts, so "identical rows" means "identical signatures"), the model
 checker via its result/diagnostic dataclasses, the offline experiment
-via its metrics dict.
+via its metrics dict.  The campaign is also run through the result
+cache, which is what makes a killed campaign resumable: a pooled cold
+run and a warm re-run must both reproduce the serial rows.
 """
 
 from repro.analysis.mc.explorer import SMALL_BUDGET, explore_all
 from repro.experiments.offline import run_offline_comparison
 from repro.faults import format_campaign, run_campaign
+from repro.parallel import ResultCache
 
 
 def _row_fields(row):
@@ -45,6 +48,25 @@ class TestCampaignGolden:
         ]
         assert format_campaign(pooled) == format_campaign(serial)
         assert all(r.ok for r in serial)
+
+    def test_cached_campaign_resumes_bit_identical_to_serial(self, tmp_path):
+        # every (workload, policy) pair of the smoke matrix: 5 x 2 shards
+        kwargs = dict(scale="smoke", fault_classes=["annotation_chaos"])
+        serial = run_campaign(jobs=1, **kwargs)
+        cold_cache = ResultCache(str(tmp_path))
+        cold = run_campaign(jobs=2, cache=cold_cache, **kwargs)
+        assert [_row_fields(r) for r in cold] == [
+            _row_fields(r) for r in serial
+        ]
+        assert (cold_cache.hits, cold_cache.stores) == (0, 10)
+
+        warm_cache = ResultCache(str(tmp_path))
+        warm = run_campaign(jobs=2, cache=warm_cache, **kwargs)
+        assert (warm_cache.hits, warm_cache.misses) == (10, 0)
+        assert [_row_fields(r) for r in warm] == [
+            _row_fields(r) for r in serial
+        ]
+        assert format_campaign(warm) == format_campaign(serial)
 
 
 class TestModelCheckerGolden:
