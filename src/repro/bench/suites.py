@@ -59,7 +59,7 @@ def _sweep_batches(num_batches: int, stride: int) -> List[np.ndarray]:
     "cache_direct_sweep", suites=("smoke", "hotpaths"), ops=48 * _BATCH
 )
 def cache_direct_sweep() -> BenchFn:
-    """Direct-mapped E-cache, vectorised path: distinct-index batches."""
+    """Direct-mapped E-cache: distinct-index batches."""
     from repro.machine.cache import DirectMappedCache
 
     cache = DirectMappedCache(_CACHE_BYTES, _LINE_BYTES)
@@ -82,7 +82,7 @@ def cache_direct_sweep() -> BenchFn:
     "cache_direct_collide", suites=("smoke", "hotpaths"), ops=16 * _BATCH
 )
 def cache_direct_collide() -> BenchFn:
-    """Direct-mapped E-cache, serial path: intra-batch index collisions."""
+    """Direct-mapped E-cache: intra-batch index collisions."""
     from repro.machine.cache import DirectMappedCache
 
     cache = DirectMappedCache(_CACHE_BYTES, _LINE_BYTES)
@@ -90,8 +90,7 @@ def cache_direct_collide() -> BenchFn:
     batches = []
     for _ in range(16):
         base = rng.integers(0, _NUM_LINES, size=_BATCH // 2, dtype=np.int64)
-        # the second half aliases the first half's indices with new tags,
-        # forcing the ordered scalar loop
+        # the second half aliases the first half's indices with new tags
         batches.append(np.concatenate([base, base + _NUM_LINES]))
     stats = cache.stats
 
@@ -160,6 +159,38 @@ def vm_translate() -> BenchFn:
         for batch in multi_page:
             vm.translate_lines(batch)
         return {"page_faults": float(vm.page_faults - faults0)}
+
+    return run
+
+
+@register("machine_touch_line", suites=("smoke", "hotpaths"), ops=2048)
+def machine_touch_line() -> BenchFn:
+    """One-line writes alternating between two cpus of a 4-cpu Ultra-1.
+
+    The dominant touch of a simulated run: schedulers write their queue,
+    heap and entry records one line at a time on every switch.  Each pass
+    over 64 lines runs on the other cpu, so every write translates, misses,
+    is priced as remote and invalidates the previous writer's copy.
+    """
+    from repro.machine.configs import ULTRA1
+    from repro.machine.smp import Machine
+
+    machine = Machine(ULTRA1.with_cpus(4), seed=0)
+    touches = [
+        ((k // 64) % 2, np.asarray([k % 64], dtype=np.int64))
+        for k in range(2048)
+    ]
+    l2 = [cpu.l2.stats for cpu in machine.cpus]
+
+    def run() -> Mapping[str, float]:
+        miss0 = sum(s.misses for s in l2)
+        inval0 = sum(s.invalidations for s in l2)
+        for cpu, vlines in touches:
+            machine.touch(cpu, vlines, write=True)
+        return {
+            "sim_misses": float(sum(s.misses for s in l2) - miss0),
+            "invalidations": float(sum(s.invalidations for s in l2) - inval0),
+        }
 
     return run
 

@@ -163,90 +163,43 @@ class _BaseCache:
 class DirectMappedCache(_BaseCache):
     """A physically indexed, physically tagged direct-mapped cache.
 
-    The fast path handles the common case of a batch whose line indices are
-    all distinct (e.g. a sweep over a region) with vectorised numpy; batches
-    with intra-batch index collisions fall back to an ordered scalar loop so
-    hit/miss counts stay exact.
+    Like :class:`SetAssociativeCache`, the state lives in plain Python
+    lists and every batch runs through one ordered per-reference loop, so
+    hit/miss counts are exact whatever the batch holds.  Most batches the
+    runtime issues are one or a few lines (the scheduler's own records,
+    written on every switch); at that size a list loop costs a fraction of
+    a single numpy call.  The raw install/evict logs are reduced with
+    :func:`_net_effect` only when the batch actually reinstalls a line it
+    evicted (or evicts one it installed); otherwise raw is net.
     """
 
     def __init__(self, size_bytes: int, line_bytes: int = 64) -> None:
         super().__init__(size_bytes, line_bytes)
-        self._resident = np.full(self.num_lines, -1, dtype=np.int64)
-        self._dirty = np.zeros(self.num_lines, dtype=bool)
-        #: power-of-two caches index with a mask instead of a modulo (the
-        #: hardware's trick, and measurably cheaper per batch)
-        n = self.num_lines
-        self._index_mask = n - 1 if n & (n - 1) == 0 else None
+        #: per index: resident physical line (-1 = empty) and dirty flag
+        self._resident: List[int] = [-1] * self.num_lines
+        self._dirty: List[bool] = [False] * self.num_lines
 
     def index_of(self, pline: int) -> int:
         """Cache index a physical line maps to."""
-        if self._index_mask is not None:
-            return pline & self._index_mask
         return pline % self.num_lines
 
-    def _indices(self, plines: np.ndarray) -> np.ndarray:
-        if self._index_mask is not None:
-            return plines & self._index_mask
-        return plines % self.num_lines
-
     def access(self, plines: np.ndarray, write: bool = False) -> AccessResult:
-        plines = np.asarray(plines, dtype=np.int64)
-        if plines.size == 0:
+        lines = np.asarray(plines, dtype=np.int64).tolist()
+        if not lines:
             return AccessResult(0, 0, 0, _EMPTY, _EMPTY)
-        idx = self._indices(plines)
-        if idx.size == 1 or np.unique(idx).size == idx.size:
-            result = self._access_vectorised(plines, idx, write)
-        else:
-            result = self._access_serial(plines, idx, write)
-        stats = self.stats
-        stats.refs += result.refs
-        stats.hits += result.hits
-        stats.misses += result.misses
-        stats.writebacks += result.writebacks
-        self._notify(result.installed, result.evicted)
-        return result
-
-    def _access_vectorised(
-        self, plines: np.ndarray, idx: np.ndarray, write: bool
-    ) -> AccessResult:
-        hit_mask = self._resident[idx] == plines
-        miss_idx = idx[~hit_mask]
-        installed = plines[~hit_mask]
-        old = self._resident[miss_idx]
-        valid_old = old >= 0
-        evicted = old[valid_old]
-        writebacks = int(np.count_nonzero(self._dirty[miss_idx] & valid_old))
-        self._resident[miss_idx] = installed
-        self._dirty[miss_idx] = write
-        if write:
-            self._dirty[idx[hit_mask]] = True
-        # distinct indices mean no intra-batch reinstall: raw == net
-        return AccessResult(
-            refs=plines.size,
-            hits=int(np.count_nonzero(hit_mask)),
-            misses=installed.size,
-            installed=installed,
-            evicted=evicted,
-            writebacks=writebacks,
-            miss_lines=installed,
-        )
-
-    def _access_serial(
-        self, plines: np.ndarray, idx: np.ndarray, write: bool
-    ) -> AccessResult:
-        hits = 0
+        n = self.num_lines
+        resident = self._resident
+        dirty = self._dirty
         installed: List[int] = []
         evicted: List[int] = []
         writebacks = 0
-        resident = self._resident
-        dirty = self._dirty
-        for pline, i in zip(plines.tolist(), idx.tolist()):
-            if resident[i] == pline:
-                hits += 1
+        for pline in lines:
+            i = pline % n
+            old = resident[i]
+            if old == pline:
                 if write:
                     dirty[i] = True
                 continue
-            old = resident[i]
             if old >= 0:
                 evicted.append(old)
                 if dirty[i]:
@@ -254,40 +207,57 @@ class DirectMappedCache(_BaseCache):
             resident[i] = pline
             dirty[i] = write
             installed.append(pline)
-        net_in, net_out = _net_effect(installed, evicted)
+        refs = len(lines)
+        misses = len(installed)
+        miss_lines = np.array(installed, dtype=np.int64)
+        if evicted and not set(evicted).isdisjoint(installed):
+            net_in, net_out = _net_effect(installed, evicted)
+        else:
+            net_in = miss_lines
+            net_out = np.array(evicted, dtype=np.int64)
+        stats = self.stats
+        stats.refs += refs
+        stats.hits += refs - misses
+        stats.misses += misses
+        stats.writebacks += writebacks
+        self._notify(net_in, net_out)
         return AccessResult(
-            refs=plines.size,
-            hits=hits,
-            misses=len(installed),
+            refs=refs,
+            hits=refs - misses,
+            misses=misses,
             installed=net_in,
             evicted=net_out,
             writebacks=writebacks,
-            miss_lines=np.asarray(installed, dtype=np.int64),
+            miss_lines=miss_lines,
         )
 
     def invalidate(self, plines: np.ndarray) -> int:
-        plines = np.asarray(plines, dtype=np.int64)
-        if plines.size == 0:
+        n = self.num_lines
+        resident = self._resident
+        dirty = self._dirty
+        victims: List[int] = []
+        for pline in np.asarray(plines, dtype=np.int64).tolist():
+            i = pline % n
+            if resident[i] == pline:
+                resident[i] = -1
+                dirty[i] = False
+                victims.append(pline)
+        if not victims:
             return 0
-        idx = self._indices(plines)
-        match = self._resident[idx] == plines
-        victims = plines[match]
-        self._resident[idx[match]] = -1
-        self._dirty[idx[match]] = False
-        self.stats.invalidations += victims.size
-        self._notify(_EMPTY, victims)
-        return int(victims.size)
+        self.stats.invalidations += len(victims)
+        self._notify(_EMPTY, np.array(victims, dtype=np.int64))
+        return len(victims)
 
     def resident_lines(self) -> np.ndarray:
-        return self._resident[self._resident >= 0]
+        return np.array([p for p in self._resident if p >= 0], dtype=np.int64)
 
     def contains(self, pline: int) -> bool:
-        return bool(self._resident[self.index_of(pline)] == pline)
+        return self._resident[pline % self.num_lines] == pline
 
     def flush(self) -> int:
-        victims = self.resident_lines().copy()
-        self._resident[:] = -1
-        self._dirty[:] = False
+        victims = self.resident_lines()
+        self._resident = [-1] * self.num_lines
+        self._dirty = [False] * self.num_lines
         self._notify(_EMPTY, victims)
         return int(victims.size)
 

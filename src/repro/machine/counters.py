@@ -56,10 +56,6 @@ class _Pic:
     wrap: int = _WRAP
     value: int = 0
 
-    def add(self, event: CounterEvent, amount: int) -> None:
-        if event is self.event:
-            self.value = (self.value + amount) % self.wrap
-
 
 class PerformanceCounters:
     """A per-processor PCR plus two PICs.
@@ -116,8 +112,11 @@ class PerformanceCounters:
 
     def record(self, event: CounterEvent, amount: int = 1) -> None:
         """Hardware-side: accumulate an event occurrence."""
-        for pic in self._pics:
-            pic.add(event, amount)
+        pic0, pic1 = self._pics
+        if event is pic0.event:
+            pic0.value = (pic0.value + amount) % pic0.wrap
+        if event is pic1.event:
+            pic1.value = (pic1.value + amount) % pic1.wrap
 
     def read(self, privileged: bool = False) -> Tuple[int, int]:
         """Read (PIC0, PIC1) from user or supervisor mode."""

@@ -43,13 +43,16 @@ class CacheHierarchy:
         if config.model_l1:
             self.l1d = DirectMappedCache(config.l1d_bytes, config.line_bytes)
             self.l1i = DirectMappedCache(config.l1i_bytes, config.line_bytes)
-            # Inclusion: lines leaving the E-cache leave the L1s too.
-            self.l2.on_evict(self._enforce_inclusion)
+            # Inclusion: lines leaving the E-cache leave the L1s too.  The
+            # listener binds the L1s, not the hierarchy, so the hierarchy
+            # is not a reference cycle
+            l1d, l1i = self.l1d, self.l1i
 
-    def _enforce_inclusion(self, plines: np.ndarray) -> None:
-        assert self.l1d is not None and self.l1i is not None
-        self.l1d.invalidate(plines)
-        self.l1i.invalidate(plines)
+            def enforce_inclusion(plines: np.ndarray) -> None:
+                l1d.invalidate(plines)
+                l1i.invalidate(plines)
+
+            self.l2.on_evict(enforce_inclusion)
 
     def access_data(self, plines: np.ndarray, write: bool = False) -> AccessResult:
         """Run a data-touch batch through L1-D (if modelled) then the E-cache.

@@ -10,7 +10,8 @@ see them, and cycles are charged per Table 1 latencies.
 The distinction between a 50-cycle local miss and an 80-cycle remote miss
 (line cached by another processor, Enterprise 5000) is priced by the
 machine-level directory, which the processor consults through the
-``remote_fraction`` hook installed by :class:`repro.machine.smp.Machine`.
+remote probe installed by :class:`repro.machine.smp.Machine` (a machine
+with no directory installs none, and every miss is local).
 """
 
 from __future__ import annotations

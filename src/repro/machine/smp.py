@@ -16,7 +16,8 @@ directory serves two purposes, both from section 5 of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from functools import partial
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -30,59 +31,78 @@ from repro.machine.vm import PlacementPolicy, VirtualMemory
 
 
 class LineDirectory:
-    """Which cpus currently cache each physical line."""
+    """Which cpus currently cache each physical line.
+
+    One holder bitmask per cached line (bit ``c`` set: cpu ``c`` holds
+    it), in a plain dict: the directory is consulted a line at a time on
+    every miss and every write, where an int test beats both a set per
+    line and a numpy call per batch.  Lines no cpu holds have no entry.
+    """
 
     def __init__(self, num_cpus: int) -> None:
         self.num_cpus = num_cpus
-        self._holders: Dict[int, Set[int]] = {}
+        self._masks: Dict[int, int] = {}
 
     def add(self, cpu_id: int, plines: np.ndarray) -> None:
-        holders = self._holders
+        bit = 1 << cpu_id
+        masks = self._masks
+        get = masks.get
         for pline in plines.tolist():
-            holders.setdefault(pline, set()).add(cpu_id)
+            masks[pline] = get(pline, 0) | bit
 
     def remove(self, cpu_id: int, plines: np.ndarray) -> None:
-        holders = self._holders
+        keep = ~(1 << cpu_id)
+        masks = self._masks
         for pline in plines.tolist():
-            cpus = holders.get(pline)
-            if cpus is None:
+            mask = masks.get(pline)
+            if mask is None:
                 continue
-            cpus.discard(cpu_id)
-            if not cpus:
-                del holders[pline]
+            mask &= keep
+            if mask:
+                masks[pline] = mask
+            else:
+                del masks[pline]
 
     def holders(self, pline: int) -> Set[int]:
-        """Cpus caching ``pline`` (possibly empty; do not mutate)."""
-        return self._holders.get(pline, set())
+        """Cpus caching ``pline`` (possibly empty)."""
+        mask = self._masks.get(pline, 0)
+        return set(c for c in range(self.num_cpus) if mask >> c & 1)
 
     def held_by_other(self, pline: int, cpu_id: int) -> bool:
         """Whether any cpu other than ``cpu_id`` caches the line."""
-        cpus = self._holders.get(pline)
-        if not cpus:
-            return False
-        if cpu_id in cpus:
-            return len(cpus) > 1
-        return True
+        return bool(self._masks.get(pline, 0) & ~(1 << cpu_id))
 
     def count_remote(self, plines: np.ndarray, cpu_id: int) -> int:
         """How many of ``plines`` some other cpu caches."""
-        holders = self._holders
+        others = ~(1 << cpu_id)
+        get = self._masks.get
         count = 0
         for pline in plines.tolist():
-            cpus = holders.get(pline)
-            if not cpus:
-                continue
-            if cpu_id in cpus:
-                if len(cpus) > 1:
-                    count += 1
-            else:
+            if get(pline, 0) & others:
                 count += 1
         return count
 
-    def shared_with_others(self, plines: np.ndarray, cpu_id: int) -> np.ndarray:
-        """The subset of ``plines`` cached by at least one other cpu."""
-        mask = [self.held_by_other(int(p), cpu_id) for p in plines]
-        return plines[np.asarray(mask, dtype=bool)] if plines.size else plines
+    def remote_copies(
+        self, plines: np.ndarray, cpu_id: int
+    ) -> List[Tuple[int, List[int]]]:
+        """The copies a write by ``cpu_id`` must invalidate: per other
+        holder, in ascending cpu order, its lines in batch order."""
+        others = ~(1 << cpu_id)
+        get = self._masks.get
+        remote = []
+        for pline in plines.tolist():
+            mask = get(pline, 0) & others
+            if mask:
+                remote.append((pline, mask))
+        if not remote:
+            return []
+        copies = []
+        for holder in range(self.num_cpus):
+            bit = 1 << holder
+            victims = [pline for pline, mask in remote if mask & bit]
+            if victims:
+                copies.append((holder, victims))
+        return copies
 
 
 class Machine:
@@ -125,7 +145,15 @@ class Machine:
             policy=placement,
             rng=rng,
         )
-        self.directory = LineDirectory(config.num_cpus)
+        #: the coherence directory, or ``None`` where no remote copy can
+        #: exist: a single cpu, or the analytic backend (which models
+        #: neither remote misses nor invalidation; the paper's model
+        #: ignores invalidations too, section 3.4)
+        self.directory: Optional[LineDirectory] = (
+            LineDirectory(config.num_cpus)
+            if config.num_cpus > 1 and not self._analytic
+            else None
+        )
         #: set while the scheduler/runtime touches its own data structures;
         #: devices configured for user-mode-only monitoring (the PCR's
         #: user/supervisor selection, section 2.2) consult this
@@ -135,29 +163,18 @@ class Machine:
             for _ in range(config.num_cpus)
         ]
         hierarchy_factory = resolve_backend(backend)
+        directory = self.directory
         self.cpus: List[Processor] = []
         for cpu_id in range(config.num_cpus):
             cpu = Processor(cpu_id, config, hierarchy=hierarchy_factory(config))
-            if not self._analytic:
-                # the directory prices remote misses and performs write
-                # invalidation; the analytic backend models neither (the
-                # paper's model ignores invalidations too, section 3.4),
-                # so its cpus skip the listener plumbing entirely
+            if directory is not None:
+                # the listeners bind the directory, not the machine, so a
+                # finished run is freed by reference counting alone
                 cpu.set_remote_probe(
-                    lambda plines, _cpu=cpu_id: self.directory.count_remote(
-                        plines, _cpu
-                    )
+                    partial(directory.count_remote, cpu_id=cpu_id)
                 )
-                cpu.l2.on_install(
-                    lambda plines, _cpu=cpu_id: self.directory.add(
-                        _cpu, plines
-                    )
-                )
-                cpu.l2.on_evict(
-                    lambda plines, _cpu=cpu_id: self.directory.remove(
-                        _cpu, plines
-                    )
-                )
+                cpu.l2.on_install(partial(directory.add, cpu_id))
+                cpu.l2.on_evict(partial(directory.remove, cpu_id))
             self.cpus.append(cpu)
 
     # -- execution, in virtual lines --------------------------------------
@@ -181,7 +198,7 @@ class Machine:
                 cpu.cycles += tlb_misses * tlb.miss_penalty
         plines = self.vm.translate_lines(vlines)
         result = cpu.touch_data(plines, write=write)
-        if write and self.config.num_cpus > 1:
+        if write and self.directory is not None:
             self._invalidate_remote_copies(cpu_id, plines)
         return result
 
@@ -198,18 +215,9 @@ class Machine:
         self.cpus[cpu_id].compute(instructions)
 
     def _invalidate_remote_copies(self, writer: int, plines: np.ndarray) -> None:
-        victims_by_cpu: Dict[int, List[int]] = {}
-        holders = self.directory._holders
-        for pline in plines.tolist():
-            cpus = holders.get(pline)
-            if not cpus or (writer in cpus and len(cpus) == 1):
-                continue
-            for cpu_id in sorted(cpus):
-                if cpu_id != writer:
-                    victims_by_cpu.setdefault(cpu_id, []).append(pline)
-        for cpu_id, victims in victims_by_cpu.items():
+        for cpu_id, victims in self.directory.remote_copies(plines, writer):
             self.cpus[cpu_id].hierarchy.invalidate(
-                np.asarray(victims, dtype=np.int64)
+                np.array(victims, dtype=np.int64)
             )
 
     # -- clocks ------------------------------------------------------------

@@ -159,24 +159,22 @@ class VirtualMemory:
     def translate_lines(self, vlines: np.ndarray) -> np.ndarray:
         """Translate an array of virtual line numbers to physical lines.
 
-        Vectorised per page: a touch batch typically spans few pages, so we
-        loop over the unique pages and translate each page's lines at once.
+        One list pass: most batches are a line or two, where a Python loop
+        costs less than a single numpy call.  Missing pages fault in
+        ascending virtual page order, so the placement policy sees the
+        same fault sequence (and draws the same tie-breaks) however the
+        batch is ordered.
         """
-        vlines = np.asarray(vlines, dtype=np.int64)
-        if vlines.size == 0:
-            return vlines
+        lines = np.asarray(vlines, dtype=np.int64).tolist()
         lpp = self.lines_per_page
-        vpages = vlines // lpp
-        offsets = vlines - vpages * lpp
-        first = int(vpages[0])
-        if vpages[-1] == first and (vpages == first).all():
-            # single-page batch: one translation covers every line
-            return self.translate_page(first) * lpp + offsets
-        uniq, inverse = np.unique(vpages, return_inverse=True)
-        bases = np.empty(uniq.shape, dtype=np.int64)
-        for i, vpage in enumerate(uniq.tolist()):
-            bases[i] = self.translate_page(vpage) * lpp
-        return bases[inverse] + offsets
+        v2p = self._v2p
+        pages = [v // lpp for v in lines]
+        for vpage in sorted(set(pages).difference(v2p)):
+            self._fault(vpage)
+        return np.array(
+            [(v2p[p] - p) * lpp + v for p, v in zip(pages, lines)],
+            dtype=np.int64,
+        )
 
     def reverse_line(self, pline: int) -> Optional[int]:
         """Virtual line for a physical line, or ``None`` if unmapped."""

@@ -16,6 +16,7 @@ structures" relative to this queue.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Deque, Optional, Tuple
 
@@ -42,7 +43,9 @@ class FCFSScheduler(Scheduler):
         self._queue_pos = 0
 
     def attach(self, runtime) -> None:
-        self.runtime = runtime
+        # a proxy: the runtime owns the scheduler, and a strong back
+        # reference would keep a finished run alive until a cyclic GC
+        self.runtime = weakref.proxy(runtime)
         if self.model_scheduler_memory:
             self._queue_region = runtime.machine.address_space.allocate_lines(
                 "fcfs-queue", 64

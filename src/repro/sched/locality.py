@@ -26,6 +26,7 @@ dispatches from the global FIFO every ``fairness_boost``-th pick.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
@@ -98,7 +99,9 @@ class LocalityScheduler(Scheduler):
         self._miss_cap = None  # resolved at attach time
 
     def attach(self, runtime) -> None:
-        self.runtime = runtime
+        # a proxy: the runtime owns the scheduler, and a strong back
+        # reference would keep a finished run alive until a cyclic GC
+        self.runtime = weakref.proxy(runtime)
         machine = runtime.machine
         num_cpus = machine.config.num_cpus
         model = SharedStateModel(machine.config.l2_lines)

@@ -22,6 +22,7 @@ model and annotations add.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -47,7 +48,9 @@ class StaticScheduler(Scheduler):
         self.migrations = 0
 
     def attach(self, runtime) -> None:
-        self.runtime = runtime
+        # a proxy: the runtime owns the scheduler, and a strong back
+        # reference would keep a finished run alive until a cyclic GC
+        self.runtime = weakref.proxy(runtime)
         num_cpus = runtime.machine.config.num_cpus
         self._queues = [deque() for _ in range(num_cpus)]
 

@@ -58,6 +58,7 @@ job proves it over every policy x workload fixture cell (see
 from __future__ import annotations
 
 import heapq
+import weakref
 from enum import IntEnum
 from typing import (
     TYPE_CHECKING,
@@ -302,7 +303,9 @@ class EventEngine:
     """
 
     def __init__(self, runtime: "Runtime") -> None:
-        self.runtime = runtime
+        #: a proxy: the runtime owns its engine, and a strong back
+        #: reference would keep a finished run alive until a cyclic GC
+        self.runtime = weakref.proxy(runtime)
         num_cpus = len(runtime.machine.cpus)
         #: cpus currently parked (idle-quiescent, virtually stepped)
         self._parked: List[bool] = [False] * num_cpus

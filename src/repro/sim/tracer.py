@@ -18,6 +18,7 @@ exactly as in the paper's shared-state setting.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -30,7 +31,9 @@ class FootprintTracer(Observer):
     """Ground-truth footprint observation (measurement only)."""
 
     def __init__(self, machine: Machine) -> None:
-        self.machine = machine
+        #: a proxy: the machine's caches hold this tracer's listeners, and
+        #: a strong back reference would make the run a reference cycle
+        self.machine = weakref.proxy(machine)
         self._vm = machine.vm
         # virtual line -> tids whose state contains it
         self._state: Dict[int, Tuple[int, ...]] = {}

@@ -252,10 +252,13 @@ class Runtime:
         self.counter_overflow_suspects = 0
         #: bounded trail of overflow-suspect diagnostics (first few)
         self.counter_diagnostics: List[str] = []
-        #: event class -> bound interpreter method; subclasses are added
-        #: lazily by :meth:`_resolve_handler`
+        #: event class -> interpreter function, called with ``self``;
+        #: subclasses are added lazily by :meth:`_resolve_handler`.  Plain
+        #: functions, not bound methods: a table of bound methods would
+        #: make every runtime a reference cycle, kept alive (machine and
+        #: all) until a cyclic collection
         self._handlers: Dict[type, Callable] = {
-            cls: getattr(self, name) for cls, name in _EVENT_HANDLERS
+            cls: getattr(type(self), name) for cls, name in _EVENT_HANDLERS
         }
         scheduler.attach(self)
 
@@ -666,14 +669,14 @@ class Runtime:
                 raise ThreadError(
                     f"{thread} yielded unknown event {event!r}"
                 )
-        handler(cpu, thread, event)
+        handler(self, cpu, thread, event)
 
     def _resolve_handler(self, cls) -> Optional[Callable]:
         """Handler lookup for event *subclasses* (exact classes hit the
         dispatch table directly); the result is memoised."""
         for base, handler in _EVENT_HANDLERS:
             if issubclass(cls, base):
-                self._handlers[cls] = getattr(self, handler)
+                self._handlers[cls] = getattr(type(self), handler)
                 return self._handlers[cls]
         return None
 

@@ -88,6 +88,34 @@ class TestDirectMapped:
         result = cache.access(lines(1, 17))
         assert result.miss_lines.tolist() == [1, 17]
 
+    def test_reinstall_within_batch_is_net_install(self):
+        """One batch installs 1, evicts it for 17, evicts 17 and
+        reinstalls 1: the net effect is one install of 1, and listeners
+        see exactly that, once."""
+        cache = self.make(num_lines=16)
+        installs, evicts = [], []
+        cache.on_install(lambda arr: installs.append(arr.tolist()))
+        cache.on_evict(lambda arr: evicts.append(arr.tolist()))
+        result = cache.access(lines(1, 17, 1), write=True)
+        assert result.installed.tolist() == [1]
+        assert result.evicted.tolist() == []
+        assert result.miss_lines.tolist() == [1, 17, 1]
+        assert (result.hits, result.misses, result.writebacks) == (0, 3, 2)
+        assert installs == [[1]]
+        assert evicts == []
+        assert cache.resident_lines().tolist() == [1]
+
+    def test_evict_and_reinstall_resident_line_is_no_change(self):
+        cache = self.make(num_lines=16)
+        cache.access(lines(17))
+        seen = []
+        cache.on_install(lambda arr: seen.append(("in", arr.tolist())))
+        cache.on_evict(lambda arr: seen.append(("out", arr.tolist())))
+        result = cache.access(lines(1, 17))
+        assert result.installed.size == 0 and result.evicted.size == 0
+        assert result.miss_lines.tolist() == [1, 17]
+        assert seen == []
+
     def test_writeback_on_dirty_eviction(self):
         cache = self.make(num_lines=16)
         cache.access(lines(1), write=True)
@@ -115,6 +143,15 @@ class TestDirectMapped:
         assert not cache.contains(1)
         assert cache.contains(2)
         assert cache.stats.invalidations == 1
+
+    def test_invalidate_counts_repeated_line_once(self):
+        cache = self.make()
+        evicted = []
+        cache.on_evict(lambda arr: evicted.extend(arr.tolist()))
+        cache.access(lines(5))
+        assert cache.invalidate(lines(5, 5)) == 1
+        assert cache.stats.invalidations == 1
+        assert evicted == [5]
 
     def test_invalidate_requires_exact_line(self):
         cache = self.make(num_lines=16)

@@ -1,8 +1,13 @@
 """Tests for the multiprocessor: directory, coherence, clocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.machine.configs import SMALL
 from repro.machine.smp import LineDirectory, Machine
 
 
@@ -103,3 +108,70 @@ class TestMachineCoherence:
         pline = int(smp.vm.translate_lines(lines(5))[0])
         assert smp.cpus[0].l2.contains(pline)
         assert smp.cpus[1].l2.contains(pline)
+
+
+class TestMachineDirectoryWiring:
+    def test_uniprocessor_has_no_directory(self, machine):
+        assert machine.directory is None
+
+    def test_analytic_machine_has_no_directory(self, smp_config):
+        assert Machine(smp_config, backend="analytic").directory is None
+
+    def test_invalidation_walks_holders_in_cpu_order(self, smp):
+        """A write invalidates each other holder's copies, cpu by cpu in
+        ascending order, each cpu's victims in batch order."""
+        smp.touch(3, lines(1, 2))
+        smp.touch(1, lines(2))
+        seen = []
+        for cpu in smp.cpus:
+            cpu.l2.on_evict(
+                lambda arr, _c=cpu.cpu_id: seen.append((_c, arr.tolist()))
+            )
+        p1, p2 = smp.vm.translate_lines(lines(1, 2)).tolist()
+        smp.touch(0, lines(1, 2), write=True)
+        assert seen == [(1, [p2]), (3, [p1, p2])]
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write", "flush", "invalidate"]),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 1023), min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@given(ops=_OPS)
+@settings(max_examples=60, deadline=None)
+def test_directory_matches_caches(ops):
+    """After every touch, write, flush or invalidation, the directory's
+    holders of each line are exactly the cpus whose E-cache holds it, and
+    ``count_remote`` agrees with a brute-force count."""
+    smp = Machine(replace(SMALL, name="small-smp", num_cpus=4), seed=7)
+    cpus = range(4)
+    seen = set()
+    for op, cpu, vlines in ops:
+        vlines = np.asarray(vlines, dtype=np.int64)
+        if op == "flush":
+            smp.cpus[cpu].hierarchy.flush()
+        elif op == "invalidate":
+            plines = smp.vm.translate_lines(vlines)
+            smp.cpus[cpu].hierarchy.invalidate(plines)
+            seen.update(plines.tolist())
+        else:
+            smp.touch(cpu, vlines, write=op == "write")
+            seen.update(smp.vm.translate_lines(vlines).tolist())
+        touched = sorted(seen)
+        for pline in touched:
+            holders = {c for c in cpus if smp.cpus[c].l2.contains(pline)}
+            assert smp.directory.holders(pline) == holders
+        for c in cpus:
+            brute = sum(
+                1 for p in touched
+                if any(smp.cpus[o].l2.contains(p) for o in cpus if o != c)
+            )
+            assert smp.directory.count_remote(
+                np.asarray(touched, dtype=np.int64), cpu_id=c
+            ) == brute
