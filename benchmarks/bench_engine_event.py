@@ -1,19 +1,19 @@
-"""Event-driven engine: order-of-magnitude wins on sparse workloads.
+"""Idle-cpu parking: order-of-magnitude wins on sparse workloads.
 
-The event engine (``--engine event``, ``src/repro/sim/events.py``)
-exists for workloads whose threads are mostly blocked: instead of
-ticking every idle cpu forward one cycle at a time, it jumps simulated
-time to the next event and replays certified idle iterations virtually.
-This bench runs the sparse ``server`` workload (>= 90% of simulated
-cpu-cycles idle on 32 cpus) under both engines and gates the two halves
-of the engine's contract:
+Parking in the scheduling loop (``src/repro/sim/events.py``, on by
+default) exists for workloads whose threads are mostly blocked: instead
+of ticking every idle cpu forward one failed pick at a time, it parks
+the cpu and replays its certified idle iterations virtually.  This
+bench runs the sparse ``server`` workload (>= 90% of simulated
+cpu-cycles idle on 32 cpus) with parking on (``engine="event"``) and
+off (``engine="stepped"``) and gates the two halves of its contract:
 
 - **parity**: every simulated counter -- global time, per-cpu clocks and
   instruction counts, misses, context switches, executed events, timer
-  wakeups -- is bit-identical between engines (the full policy x
+  wakeups -- is bit-identical with parking on and off (the full policy x
   workload matrix lives in ``tests/sim/test_engine_parity.py``; this is
   the bench-fixture cell);
-- **speed**: the event engine is at least 5x faster wall-clock on this
+- **speed**: parking is at least 5x faster wall-clock on this
   fixture (typically 7-10x), with the work shift visible in the audited
   step counters: faithful ``loop_steps`` collapse and certified
   ``virtual_steps`` replace them.
@@ -99,7 +99,7 @@ def test_event_engine_sparse_speedup():
         ),
     )
 
-    # parity: the engines must agree bit-for-bit on every counter
+    # parity: parking on and off must agree bit-for-bit on every counter
     assert _signature(m_step, r_step) == _signature(m_evt, r_evt)
 
     # the fixture is genuinely sparse -- that's what the win feeds on
@@ -108,13 +108,13 @@ def test_event_engine_sparse_speedup():
     # the work moved from faithful iterations to certified virtual ones
     assert r_evt.virtual_steps > 0
     assert r_evt.loop_steps * 10 < r_step.loop_steps, (
-        f"event engine still does {r_evt.loop_steps:,} faithful steps "
+        f"parking still leaves {r_evt.loop_steps:,} faithful steps "
         f"vs stepped {r_step.loop_steps:,}"
     )
 
     # the gate: >= 5x wall-clock on the sparse fixture (typically 7-10x)
     assert speedup >= 5.0, (
-        f"event engine speedup {speedup:.2f}x under the 5x gate "
+        f"parking speedup {speedup:.2f}x under the 5x gate "
         f"(stepped {stepped.stats.min_s:.3f}s, "
         f"event {event.stats.min_s:.3f}s)"
     )

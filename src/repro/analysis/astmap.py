@@ -28,14 +28,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.sources import SourceRegistry
 
 __all__ = [
     "ShareSite",
     "scan_share_sites",
-    "scan_workload_sources",
     "site_at",
     "patch_literal",
 ]
@@ -215,18 +214,6 @@ def scan_share_sites(
     collector = _SiteCollector(path, _alias_names(tree))
     collector.visit(tree)
     return collector.sites
-
-
-def scan_workload_sources(
-    root: str, registry: Optional[SourceRegistry] = None
-) -> Dict[str, List[ShareSite]]:
-    """Scan every workload module under ``root`` (a directory)."""
-    sites: Dict[str, List[ShareSite]] = {}
-    for path in sorted(Path(root).glob("*.py")):
-        found = scan_share_sites(str(path), registry=registry)
-        if found:
-            sites[str(path)] = found
-    return sites
 
 
 def site_at(sites: List[ShareSite], line: int) -> Optional[ShareSite]:

@@ -71,10 +71,6 @@ class RegionDef:
     #: allocated inside a loop/comprehension (one instance per iteration)
     in_loop: bool
 
-    @property
-    def is_attr(self) -> bool:
-        return self.key.startswith("attr:")
-
     def render(self) -> str:
         label = self.label if self.label is not None else "?"
         size = f"{self.lines} line(s)" if self.lines is not None else "? lines"
@@ -110,13 +106,6 @@ class SpawnUnit:
         if self.name_prefix:
             return self.name_prefix + "*"
         return self.unit_id
-
-    def matches(self, thread_name: str) -> bool:
-        if self.name_exact is not None:
-            return thread_name == self.name_exact
-        if self.name_prefix:
-            return thread_name.startswith(self.name_prefix)
-        return False
 
     def match_strength(self, thread_name: str) -> int:
         """Longest-match score for resolving overlapping name patterns."""
@@ -160,10 +149,6 @@ class PredictedEdge:
     #: statically-estimated sharing coefficient |shared|/|src footprint|,
     #: when every involved region size is statically known
     q_static: Optional[float]
-
-    @property
-    def pair(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
 
     def render(self) -> str:
         q = f"q~{self.q_static:.2f}" if self.q_static is not None else "q=?"
@@ -215,14 +200,3 @@ class StaticPrediction:
             for key in sorted(self.edges)
             if self.edges[key].tier in wanted
         ]
-
-    def escaping_regions(self) -> Dict[str, Tuple[str, ...]]:
-        """Regions reaching threads of >1 unit (or a multi unit)."""
-        out: Dict[str, Tuple[str, ...]] = {}
-        for key in sorted(self.touchers):
-            units = self.touchers[key]
-            if len(units) > 1 or (
-                len(units) == 1 and self.units[units[0]].multi
-            ):
-                out[key] = units
-        return out

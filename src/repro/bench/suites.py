@@ -8,12 +8,12 @@ Three standing suites:
   every experiment sits on: the per-reference cache loop
   (``machine/cache.py`` / ``machine/vm.py`` / ``machine/smp.py``), the
   scheduler priority-update path (``sched/heap.py`` /
-  ``sched/locality.py``), and the runtime stepping loop
-  (``threads/runtime.py`` driven by ``sim/driver.py``);
-- ``engine`` -- the event-driven engine (``sim/events.py``) on the
-  sparse ``server`` workload it exists for, with the stepped engine's
-  run of the same fixture as the reference; the engine-to-engine
-  speedup itself is gated by ``benchmarks/bench_engine_event.py``;
+  ``sched/locality.py``), and the scheduling loop (``sim/events.py``
+  and ``threads/runtime.py``, driven by ``sim/driver.py``);
+- ``engine`` -- the scheduling loop with idle-cpu parking on the sparse
+  ``server`` workload parking exists for, with the never-park run
+  (``engine="stepped"``) of the same fixture as the reference; the
+  parking speedup itself is gated by ``benchmarks/bench_engine_event.py``;
 - ``analytic`` -- the analytic reuse-distance backend
   (``machine/analytic.py``) against the replay hierarchy on the
   sweep-scale fixture; the backend-to-backend speedup is gated by
@@ -31,7 +31,7 @@ pure simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -294,13 +294,13 @@ def runtime_step_loop() -> BenchFn:
 
 
 def _sparse_engine_run(engine: str) -> BenchFn:
-    """One full ``server`` run on 32 cpus under LFF, either engine.
+    """One full ``server`` run on 32 cpus under LFF, parking on or off.
 
     The ``bench_engine_event`` fixture: ~96% of simulated cpu-cycles are
-    idle, so the stepped loop's cost is dominated by one-tick idle
-    iterations while the event engine jumps straight between wakeups.
-    Counters are bit-identical across engines (the parity suite proves
-    it); ``loop_steps``/``virtual_steps`` show where the win comes from.
+    idle, so the never-park loop's cost is dominated by one-tick idle
+    iterations while parked cpus jump straight between wakeups.
+    Counters are bit-identical either way (the parity suite proves it);
+    ``loop_steps``/``virtual_steps`` show where the win comes from.
     """
     from repro.machine.configs import SMALL
     from repro.machine.smp import Machine
@@ -329,7 +329,7 @@ def _sparse_engine_run(engine: str) -> BenchFn:
 
 @register("engine_event_sparse", suites=("engine", "hotpaths"))
 def engine_event_sparse() -> BenchFn:
-    """Event engine on the sparse server fixture (the fast path)."""
+    """Parking on, on the sparse server fixture (the fast path)."""
     return _sparse_engine_run("event")
 
 
@@ -341,7 +341,7 @@ def engine_event_sparse() -> BenchFn:
     ),
 )
 def engine_stepped_sparse() -> BenchFn:
-    """Stepped engine on the same fixture (the reference cost).
+    """Parking off on the same fixture (the reference cost).
 
     Seconds per call, not milliseconds -- the whole point -- so the
     repeat policy samples it just enough for a stable median.
@@ -503,8 +503,3 @@ def model_eval() -> BenchFn:
         return None
 
     return run
-
-
-def _load() -> Dict[str, str]:
-    """Imported for side effects by the registry; nothing to export."""
-    return {}

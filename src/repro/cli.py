@@ -180,7 +180,22 @@ def _workload(name: str, paper_scale: bool):
     return cls(params)
 
 
+def _analytic_refused(command: str, flag: str, cpus: int) -> int:
+    """Exit 2 with one line: the analytic backend models no coherence and
+    its accuracy is checked only on 1-cpu FCFS, so the CLI will not price
+    a multi-cpu run with it."""
+    print(
+        f"repro {command}: {flag} analytic is unchecked on {cpus} cpus "
+        "(no coherence; validated on 1-cpu FCFS only), see docs/MODEL.md "
+        "'When to trust it'",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def _cmd_run(args) -> int:
+    if args.backend == "analytic" and args.cpus > 1:
+        return _analytic_refused("run", "--backend", args.cpus)
     if args.report:
         from repro.machine.smp import Machine
         from repro.sim.analysis import run_report
@@ -189,9 +204,7 @@ def _cmd_run(args) -> int:
         machine = Machine(
             _config(args.cpus), seed=args.seed, backend=args.backend
         )
-        runtime = Runtime(
-            machine, SCHEDULERS[args.policy](), engine=args.engine
-        )
+        runtime = Runtime(machine, SCHEDULERS[args.policy]())
         _workload(args.workload, args.paper_scale).build(runtime)
         runtime.run()
         print(run_report(machine, runtime))
@@ -201,7 +214,6 @@ def _cmd_run(args) -> int:
         _config(args.cpus),
         SCHEDULERS[args.policy](),
         seed=args.seed,
-        engine=args.engine,
         backend=args.backend,
     )
     print(
@@ -226,6 +238,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.backend == "analytic" and args.cpus > 1:
+        return _analytic_refused("compare", "--backend", args.cpus)
     rows = []
     base = None
     for policy in ("fcfs", "static", "lff", "crt"):
@@ -234,7 +248,6 @@ def _cmd_compare(args) -> int:
             _config(args.cpus),
             SCHEDULERS[policy](),
             seed=args.seed,
-            engine=args.engine,
             backend=args.backend,
         )
         if base is None:
@@ -307,6 +320,10 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.name == "fig9" and args.machine_backend == "analytic":
+        return _analytic_refused(
+            "experiment fig9", "--machine-backend", E5000_8CPU.num_cpus
+        )
     registry = _experiment_registry()
     print(
         registry[args.name](
@@ -353,7 +370,6 @@ def _cmd_faults_run(args) -> int:
         policies=tuple(args.policy or ("fcfs", "lff")),
         fault_classes=fault_classes,
         seed=args.seed,
-        engine=args.engine,
         jobs=args.jobs,
         progress=_shard_progress if args.jobs > 1 else None,
         cache=_result_cache(args),
@@ -764,22 +780,11 @@ def _add_backend_flag(p) -> None:
     p.add_argument(
         "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
         help="cache backend: 'sim' replays every reference through the "
-        "simulated hierarchy, 'analytic' prices misses with the "
-        "closed-form reuse-distance model -- orders of magnitude faster "
-        "for sweeps, approximate within the bounds the analytic-oracle "
-        "CI job pins (docs/MODEL.md 'The analytic backend')",
-    )
-
-
-def _add_engine_flag(p) -> None:
-    """The ``--engine`` flag every simulation-running command shares."""
-    from repro.threads.runtime import Runtime
-
-    p.add_argument(
-        "--engine", choices=Runtime.ENGINES, default="stepped",
-        help="scheduling loop: the quantum-stepped reference engine, or "
-        "the event-driven engine that skips blocked/idle time (counters "
-        "are bit-identical either way -- docs/MODEL.md)",
+        "simulated hierarchy with coherence, 'analytic' prices misses "
+        "with the closed-form reuse-distance model and no coherence -- "
+        "faster, approximate within the bounds the analytic-oracle CI "
+        "job pins on 1-cpu FCFS, and refused for --cpus > 1 "
+        "(docs/MODEL.md 'When to trust it')",
     )
 
 
@@ -810,7 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", action="store_true",
         help="print the full post-run analysis instead of one row",
     )
-    _add_engine_flag(run_p)
     _add_backend_flag(run_p)
     run_p.set_defaults(func=_cmd_run)
 
@@ -820,7 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--cpus", type=int, default=1)
     cmp_p.add_argument("--paper-scale", action="store_true")
     cmp_p.add_argument("--seed", type=int, default=0)
-    _add_engine_flag(cmp_p)
     _add_backend_flag(cmp_p)
     cmp_p.set_defaults(func=_cmd_compare)
 
@@ -860,8 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine-backend", dest="machine_backend",
         choices=("sim", "analytic"), default="sim",
         help="cache backend for the simulated runs: 'analytic' prices "
-        "misses with the closed-form reuse-distance model "
-        "(docs/MODEL.md)",
+        "misses with the closed-form reuse-distance model and no "
+        "coherence; refused for the 8-cpu fig9 (docs/MODEL.md 'When to "
+        "trust it')",
     )
     exp_p.set_defaults(func=_cmd_experiment)
 
@@ -894,7 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", choices=("smoke", "default"), default="smoke"
     )
     faults_run_p.add_argument("--seed", type=int, default=0)
-    _add_engine_flag(faults_run_p)
     faults_run_p.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes ((workload, policy) pairs fan out; the "

@@ -121,7 +121,6 @@ def _run_pair(
     config: MachineConfig,
     seed: int,
     watchdog_factory: Callable[[], Watchdog],
-    engine: str = "stepped",
 ) -> List[CampaignRow]:
     """One (workload, policy) block: fault-free baseline, then every
     requested fault class against it.  This is the shard body -- the
@@ -135,7 +134,6 @@ def _run_pair(
         plan=None,
         seed=seed,
         watchdog=watchdog_factory(),
-        engine=engine,
     )
     return [
         _run_cell(
@@ -149,7 +147,6 @@ def _run_pair(
             seed,
             baseline,
             watchdog_factory(),
-            engine,
         )
         for cname in fault_classes
     ]
@@ -164,7 +161,6 @@ def _campaign_shard(
     seed: int,
     step_budget: int,
     max_chunks: int,
-    engine: str = "stepped",
 ) -> List[CampaignRow]:
     """Worker entry point: everything arrives by name or plain value."""
     factory = campaign_workloads(scale)[workload]
@@ -176,7 +172,6 @@ def _campaign_shard(
         config,
         seed,
         lambda: Watchdog(step_budget=step_budget, max_chunks=max_chunks),
-        engine=engine,
     )
 
 
@@ -189,7 +184,6 @@ def campaign_shards(
     seed: int = 0,
     step_budget: int = DEFAULT_STEP_BUDGET,
     max_chunks: int = DEFAULT_MAX_CHUNKS,
-    engine: str = "stepped",
 ) -> List[Shard]:
     """Deterministic work partitioning of the campaign matrix.
 
@@ -224,7 +218,6 @@ def campaign_shards(
                         "seed": seed,
                         "step_budget": step_budget,
                         "max_chunks": max_chunks,
-                        "engine": engine,
                     },
                 )
             )
@@ -245,7 +238,6 @@ def run_campaign(
     partial: bool = False,
     progress: Optional[ProgressFn] = None,
     cache: Optional[ResultCache] = None,
-    engine: str = "stepped",
 ) -> List[CampaignRow]:
     """Run the full fault matrix; returns one row per cell.
 
@@ -296,7 +288,6 @@ def run_campaign(
                         config,
                         seed,
                         watchdog_factory,
-                        engine=engine,
                     )
                 )
         return rows
@@ -308,7 +299,6 @@ def run_campaign(
         fault_classes=fault_classes,
         config=config,
         seed=seed,
-        engine=engine,
     )
     outcomes = run_shards(
         shards, jobs=jobs, partial=partial, progress=progress, cache=cache
@@ -345,7 +335,6 @@ def _run_cell(
     seed: int,
     baseline: HardenedResult,
     watchdog: Watchdog,
-    engine: str = "stepped",
 ) -> CampaignRow:
     expects_timeout = cname in EXPECTS_TIMEOUT
     try:
@@ -356,7 +345,6 @@ def _run_cell(
             plan=plan,
             seed=seed,
             watchdog=watchdog,
-            engine=engine,
         )
     except WatchdogTimeout as timeout:
         done = sum(1 for s in timeout.partial if s[3] == "done")

@@ -56,7 +56,6 @@ analytic backend".
 from __future__ import annotations
 
 import math
-from typing import Dict, List
 
 import numpy as np
 
@@ -116,12 +115,6 @@ class ReuseHistogram:
         out.buckets = self.buckets - earlier.buckets
         out.compulsory = self.compulsory - earlier.compulsory
         return out
-
-    def as_dict(self) -> Dict[str, List[int]]:
-        return {
-            "buckets": self.buckets.tolist(),
-            "compulsory": [self.compulsory],
-        }
 
 
 class AnalyticCache:
@@ -291,7 +284,3 @@ class AnalyticHierarchy:
     def expected_resident(self, vlines: np.ndarray) -> float:
         """Expected resident count of ``vlines`` (footprint estimation)."""
         return self.l2.expected_resident(vlines)
-
-    def histogram(self) -> ReuseHistogram:
-        """The cumulative reuse-distance histogram (snapshot for deltas)."""
-        return self.l2.hist

@@ -31,7 +31,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.machine.cache import AccessResult, CacheStats
+from repro.machine.cache import AccessResult
 from repro.machine.configs import MachineConfig
 
 try:  # Protocol is 3.8+; keep the import explicit for mypy
@@ -44,14 +44,6 @@ BACKEND_NAMES: Tuple[str, ...] = ("sim", "analytic")
 
 #: the default backend: faithful per-reference simulation
 DEFAULT_BACKEND = "sim"
-
-
-@runtime_checkable
-class CacheLevel(Protocol):
-    """What reports/tracers need from a backend's ``l2`` attribute."""
-
-    num_lines: int
-    stats: CacheStats
 
 
 @runtime_checkable

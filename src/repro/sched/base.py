@@ -52,12 +52,12 @@ class Scheduler:
         """Whether any thread is runnable anywhere."""
         raise NotImplementedError
 
-    # -- idle-quiescence contract (the event engine's fast path) -----------
+    # -- idle-quiescence contract (idle-cpu parking) -----------------------
 
     def idle_pick_cost(self, cpu: int) -> Optional[int]:
         """Closed-form cost of a failed :meth:`pick` in idle quiescence.
 
-        The event engine (:mod:`repro.sim.events`) parks an idle cpu and
+        The scheduling loop (:mod:`repro.sim.events`) parks an idle cpu and
         replays its failed-pick iterations arithmetically instead of
         calling :meth:`pick`.  Returning an ``int`` here certifies that,
         in the scheduler's *current* state with no runnable threads, a
@@ -65,7 +65,7 @@ class Scheduler:
         cost and (b) mutate nothing except the bookkeeping later settled
         by :meth:`account_idle_picks`.  Return ``None`` whenever that
         cannot be certified -- stale entries to drain, runnable threads,
-        any state the next pick would change -- and the engine falls back
+        any state the next pick would change -- and the loop falls back
         to faithful ``pick()`` calls, which is always correct.
 
         The default is ``None``: unknown schedulers are never virtualised.
@@ -75,7 +75,7 @@ class Scheduler:
     def account_idle_picks(self, count: int) -> None:
         """Settle bookkeeping for ``count`` virtualised failed picks.
 
-        Called by the event engine before any state the picks could have
+        Called by the scheduling loop before any state the picks could have
         influenced is observed (in particular before any real
         :meth:`pick`).  The default is a no-op for schedulers whose
         failed picks keep no bookkeeping at all.

@@ -423,8 +423,8 @@ class LocalityScheduler(Scheduler):
         ``max(1, len(heap))`` per victim.  That scan cost is the value
         returned; heap lengths cannot change while no thread runs a
         scheduler callback, so the certificate stays valid for the whole
-        parked span and is re-computed by the engine every virtual step
-        anyway (see repro.sim.events).
+        parked span; the loop re-reads it whenever ``sched_epoch`` moves
+        (see repro.sim.events).
         """
         if self._ready or self._global or len(self.heaps[cpu]):
             return None

@@ -46,13 +46,13 @@ def run_performance(
     scheduler: Scheduler,
     seed: int = 0,
     max_events: Optional[int] = None,
-    engine: str = "stepped",
+    engine: str = "event",
     backend: str = "sim",
 ) -> PerfResult:
     """Run a workload to completion; returns the aggregate counters.
 
-    ``engine`` selects the scheduling loop (``"stepped"`` or ``"event"``;
-    see docs/MODEL.md "The event engine") -- the counters are
+    ``engine="stepped"`` turns off idle-cpu parking in the scheduling
+    loop (docs/MODEL.md "The scheduling loop") -- the counters are
     bit-identical either way, only wall-clock time differs.
 
     ``backend`` selects how touch batches are priced: ``"sim"`` replays
@@ -152,10 +152,12 @@ def run_monitored(
     app: MonitoredApp,
     config: MachineConfig = ULTRA1,
     seed: int = 0,
-    engine: str = "stepped",
+    engine: str = "event",
     backend: str = "sim",
 ) -> MonitoredResult:
     """Trace one work thread's footprint against the model's prediction.
+
+    ``engine`` is as for :func:`run_performance`.
 
     With ``backend="analytic"`` the observed curve comes from the
     analytic cache's expected-resident estimate (there are no per-line
@@ -426,7 +428,6 @@ def run_hardened(
     watchdog: Optional[Watchdog] = None,
     max_attempts: int = 3,
     invariants: bool = True,
-    engine: str = "stepped",
 ) -> HardenedResult:
     """Run a workload under fault injection with full hardening.
 
@@ -461,7 +462,7 @@ def run_hardened(
         )
         machine = Machine(config, seed=seed)
         scheduler = scheduler_factory()
-        runtime = Runtime(machine, scheduler, injector=injector, engine=engine)
+        runtime = Runtime(machine, scheduler, injector=injector)
         checker: Optional[InvariantChecker] = None
         if invariants:
             checker = InvariantChecker(runtime)

@@ -1,57 +1,52 @@
-"""The event-driven simulation engine: event queue + scheduler loop.
-
-The quantum-stepped loop in :meth:`repro.threads.runtime.Runtime.run`
-gives every cpu an iteration whenever its clock is the global minimum --
-including cpus with nothing to run, which burn a full failed
-``scheduler.pick()`` (stale-entry drains, steal scans) per busy-thread
-event just to jump their clocks forward.  On sparse workloads (most
-threads sleeping or blocked) that idle churn is O(cpus^2) Python work per
-executed event and dominates wall time.
-
-This module provides the event-driven replacement:
+"""The scheduling loop: the event queue and the engine that drives it.
 
 - :class:`EventKind` / :class:`Event` / :class:`EventQueue` -- a
-  deterministic heap-ordered event queue shared by *both* engines.  Sleep
-  timers, periodic realtime wakeups, scheduler ticks and quantum expiries
-  all live here; ties are broken by ``(time, seq, tid)`` where ``seq`` is
-  the queue-assigned schedule order, so replay is exact and pop order is
-  a pure function of the schedule calls, never of heap insertion layout.
-- :class:`EventEngine` -- the event-driven scheduler loop, selected with
-  ``Runtime(engine="event")`` (CLI: ``--engine event``).  It advances
-  simulated time to the next event: an idle cpu is *parked* after one
-  faithful failed pick, and every subsequent failed-pick iteration the
-  stepped loop would have executed for it is replayed as O(1) arithmetic
-  (a "virtual step") instead of a full scheduler call.
+  deterministic heap-ordered event queue.  Sleep timers, periodic
+  realtime wakeups, scheduler ticks and quantum expiries all live here;
+  ties are broken by ``(time, seq, tid)`` where ``seq`` is the
+  queue-assigned schedule order, so replay is exact and pop order is a
+  pure function of the schedule calls, never of heap insertion layout.
+- :class:`EventEngine` -- the runtime's only scheduling loop
+  (:meth:`repro.threads.runtime.Runtime.run` delegates to it).  Each
+  iteration the cpu with the smallest clock acts: it fires the events
+  due at its clock, then steps its thread, or picks one, or jumps its
+  idle clock.  A cpu with nothing to run would spend one failed
+  ``scheduler.pick()`` (stale-entry drains, steal scans) per busy-thread
+  event just to move its clock, which is O(cpus^2) Python work per event
+  on sparse workloads.  So an idle cpu is *parked* instead, and every
+  failed-pick iteration it would have executed is replayed as O(1)
+  arithmetic (a "virtual step").  ``Runtime(engine="stepped")`` turns
+  parking off: the never-park reference mode.
 
 Bit-identical parity
 --------------------
 
-The engine is an action-for-action replica of the stepped loop, not an
-approximation.  A parked cpu's virtual step reproduces exactly what the
-stepped loop's iteration would have done, which is possible because a
-failed ``pick()`` in the *idle-quiescent* state (no READY threads, the
-picking cpu's own structures drained) provably mutates nothing but the
-scheduler's pick counter and charges a cost that is a closed-form
-function of queue/heap lengths -- the contract exposed by
+Parking changes no counter.  A parked cpu's virtual step reproduces
+exactly what its faithful iteration would have done, which is possible
+because a failed ``pick()`` in the *idle-quiescent* state (no READY
+threads, the picking cpu's own structures drained) provably mutates
+nothing but the scheduler's pick counter and charges a cost that is a
+closed-form function of queue/heap lengths -- the contract exposed by
 :meth:`repro.sched.base.Scheduler.idle_pick_cost`.  Per virtual step the
 engine advances the parked cpu's clock by the same
-``max(clock + cost + 1, next_event_target)`` rule as
+``max(clock + cost + 1, Runtime._idle_target())`` rule as
 ``Runtime._idle`` after ``Runtime._charge``, defers the (associative,
 modulo-wrap) instruction-counter records, and counts the pick.  Deferred
-state is flushed before anything that could observe it: any real
-dispatch, any exception (including the watchdog's
+state is flushed before anything that could observe it: any real pick,
+any exception (including the watchdog's
 :class:`~repro.threads.errors.StepBudgetExceeded`), and loop exit.  The
 moment any exactness precondition fails -- a thread becomes runnable, an
 event comes due at or before a parked clock, the scheduler is not
 quiescent -- the engine unparks every cpu and falls back to faithful
-stepped iterations, so unknown schedulers and the model checker's
-controlled runs degrade to the stepped loop, never to wrong answers.
+iterations, so unknown schedulers and the model checker's controlled
+runs degrade to the never-park loop, never to wrong answers.
 
 Every simulated counter -- per-cpu cycles and instruction counters, miss
 counts, footprints, context switches, scheduler pick/steal/heap
-statistics, watchdog checkpoints -- is therefore bit-identical between
-``--engine stepped`` and ``--engine event``; the CI ``engine-parity``
-job proves it over every policy x workload fixture cell (see
+statistics, watchdog checkpoints -- is therefore bit-identical with
+parking on and off, and every iteration of the never-park loop is either
+a faithful or a virtual step with parking on; the CI ``engine-parity``
+job proves both over every policy x workload fixture cell (see
 ``tests/sim/test_engine_parity.py`` and docs/MODEL.md).
 """
 
@@ -82,7 +77,7 @@ class EventKind(IntEnum):
 
     ========================  ==============================================
     ``THREAD_WAKEUP``         a ``Sleep`` timer expires; the sleeping
-                              thread is woken (both engines)
+                              thread is woken
     ``THREAD_BLOCK``          audit marker emitted when a thread blocks;
                               blocks are synchronous in this simulator, so
                               the kind is recorded to the event log, never
@@ -232,10 +227,8 @@ class EventQueue:
     def fire_due(self, runtime: "Runtime", now: int) -> None:
         """Fire every live event with ``time <= now``, in key order.
 
-        This is the single dispatch point for both engines, so timer
-        semantics cannot drift between them.  ``now`` is the acting cpu's
-        cycle clock, exactly as the stepped loop passed it to the old
-        timer release.
+        This is the loop's single dispatch point for queued events.
+        ``now`` is the acting cpu's cycle clock.
         """
         heap = self.heap
         while heap and heap[0].time <= now:
@@ -295,14 +288,15 @@ class EventQueue:
 
 
 class EventEngine:
-    """The event-driven scheduler loop (``Runtime(engine="event")``).
+    """The runtime's scheduling loop; ``park=False`` is the never-park
+    reference mode (``Runtime(engine="stepped")``).
 
     Persistent across :meth:`run` calls so the watchdog's chunked
     ``run(max_events=...)`` supervision resumes parked state exactly.
     See the module docstring for the parity argument.
     """
 
-    def __init__(self, runtime: "Runtime") -> None:
+    def __init__(self, runtime: "Runtime", park: bool = True) -> None:
         #: a proxy: the runtime owns its engine, and a strong back
         #: reference would keep a finished run alive until a cyclic GC
         self.runtime = weakref.proxy(runtime)
@@ -310,6 +304,9 @@ class EventEngine:
         #: cpus currently parked (idle-quiescent, virtually stepped)
         self._parked: List[bool] = [False] * num_cpus
         self._parked_count = 0
+        #: most cpus parked at once: one always stays unparked as the
+        #: loop's faithful anchor, and none park in the reference mode
+        self._park_limit = num_cpus - 1 if park else 0
         #: deferred idle-pick instruction charges per cpu (clock is kept
         #: live; only the counter records + instruction totals wait)
         self._pending: List[int] = [0] * num_cpus
@@ -330,7 +327,8 @@ class EventEngine:
 
         Counter records are associative modulo the register width and the
         instruction totals are plain sums, so one batched record per cpu
-        equals the stepped loop's per-iteration records bit for bit.
+        equals the per-iteration records of the never-park loop bit for
+        bit.
         """
         if not self._has_pending:
             return
@@ -350,7 +348,7 @@ class EventEngine:
         self._has_pending = False
 
     def _unpark_all(self) -> None:
-        """Fall back to faithful stepped iterations for every cpu."""
+        """Fall back to faithful iterations for every cpu."""
         self._flush()
         parked = self._parked
         for i in range(len(parked)):
@@ -363,33 +361,32 @@ class EventEngine:
         try:
             self._run(max_events)
         except BaseException:
-            # the stepped loop applies every completed iteration's charges
-            # before an exception surfaces; make deferred state match
+            # every completed iteration's charges must be applied before
+            # an exception surfaces, as in the never-park loop
             self._flush()
             raise
         self._flush()
 
     def _run(self, max_events: Optional[int]) -> None:
         runtime = self.runtime
-        machine = runtime.machine
-        cpus = machine.cpus
-        scheduler = runtime.scheduler
+        cpus = runtime.machine.cpus
         queue = runtime.event_queue
         heap = queue.heap  # mutated in place by the queue, never rebound
         current = runtime._current
         step = runtime._step
         num_cpus = len(cpus)
         parked = self._parked
-        has_runnable = scheduler.has_runnable
+        park_limit = self._park_limit
+        has_runnable = runtime.scheduler.has_runnable
         while runtime._live > 0:
             if (
                 max_events is not None
                 and runtime.events_executed >= max_events
             ):
                 raise StepBudgetExceeded(max_events)
-            # the acting cpu: smallest clock, ties to the lowest id --
-            # the stepped loop's _min_clock_cpu restricted to unparked
-            # cpus (parked ones are drained below, in stepped order)
+            # the acting cpu: smallest clock, ties to the lowest id, among
+            # the unparked cpus (parked ones are drained below, in the
+            # same order); at most park_limit < num_cpus are parked
             cpu = -1
             best = 0
             for i in range(num_cpus):
@@ -397,48 +394,35 @@ class EventEngine:
                     c = cpus[i].cycles
                     if cpu < 0 or c < best:
                         cpu, best = i, c
-            if cpu < 0:  # pragma: no cover - the last idle cpu never parks
-                self._unpark_all()
-                continue
             if self._parked_count and not self._drain(cpu, best):
                 # a precondition failed mid-drain; everyone is unparked
                 # and the next argmin replays the moment faithfully
                 continue
-            if heap and heap[0].time <= best:
-                # events due: a fully faithful iteration (firing can
-                # preempt or wake, so current[] is read after, exactly
-                # as the stepped loop orders it)
-                runtime.loop_steps += 1
-                queue.fire_due(runtime, best)
-                thread = current[cpu]
-                if thread is not None:
-                    step(cpu, thread)
-                    continue
-                if self._has_pending:
-                    self._flush()
-                if runtime._dispatch(cpu) is None:
-                    runtime._idle(cpu)
-                continue
+            due = heap and heap[0].time <= best
             thread = current[cpu]
-            if thread is not None:
-                runtime.loop_steps += 1
-                step(cpu, thread)
-                continue
             # An idle iteration with nothing due.  Park right here when
             # the scheduler certifies quiescence: this very iteration (a
             # failed pick + idle jump) is then replayed virtually by a
             # later drain, in identical state, because nothing acts
-            # before that drain reaches this cpu.  One cpu always stays
-            # unparked as the loop's faithful anchor.
+            # before that drain reaches this cpu.
             if (
-                self._parked_count < num_cpus - 1
+                thread is None
+                and self._parked_count < park_limit
+                and not due
                 and not has_runnable()
-                and self._certify(cpu) is not None
+                and self._certificates()[cpu] is not None
             ):
                 parked[cpu] = True
                 self._parked_count += 1
                 continue
             runtime.loop_steps += 1
+            if due:
+                # firing can preempt or wake, so current[] is read after
+                queue.fire_due(runtime, best)
+                thread = current[cpu]
+            if thread is not None:
+                step(cpu, thread)
+                continue
             # a real pick observes the scheduler's pick counter and the
             # per-cpu instruction counters: settle deferred state first
             if self._has_pending:
@@ -446,8 +430,8 @@ class EventEngine:
             if runtime._dispatch(cpu) is None:
                 runtime._idle(cpu)
 
-    def _certify(self, cpu: int) -> Optional[int]:
-        """The cpu's idle-pick cost certificate, cached per sched epoch.
+    def _certificates(self) -> List[Optional[int]]:
+        """Every cpu's idle-pick cost certificate, cached per sched epoch.
 
         Scheduler state moves only through the runtime's callback sites
         (pick, ready, dispatched, blocked, created), each of which bumps
@@ -463,12 +447,12 @@ class EventEngine:
             for i in range(len(costs)):
                 costs[i] = get_cost(i)
             self._cost_epoch = epoch
-        return self._costs[cpu]
+        return self._costs
 
     def _drain(self, cpu: int, best: int) -> bool:
         """Virtually replay every parked iteration due before ``(best, cpu)``.
 
-        The stepped loop would give each parked cpu ``k`` with
+        The never-park loop would give each parked cpu ``k`` with
         ``(clock_k, k) < (best, cpu)`` one failed-pick iteration before
         the acting cpu moves; between those iterations and the acting
         cpu's, no other cpu acts, so the scheduler state, heap and busy
@@ -479,57 +463,41 @@ class EventEngine:
 
         Returns ``False`` when an exactness precondition failed -- the
         scheduler has runnable work, an event is due at or before a
-        parked clock, the cost certificate was withdrawn, or a parked cpu
-        would *still* precede the acting cpu after its jump (its target
-        was an imminent event it must fire faithfully).  In that case
-        every cpu has been unparked and the caller restarts its argmin.
+        parked clock, the cost certificate was withdrawn, there is no
+        idle jump target, or a parked cpu would *still* precede the
+        acting cpu after its jump (its target was an imminent event it
+        must fire faithfully).  In that case every cpu has been unparked
+        and the caller restarts its argmin.
         """
         runtime = self.runtime
         cpus = runtime.machine.cpus
         parked = self._parked
-        num_cpus = len(parked)
-        heap = runtime.event_queue.heap
         pending = self._pending
-        costs = self._costs
-        next_ev = -1
-        target = -2  # sentinel: window setup not yet done
-        for k in range(num_cpus):
+        costs: Optional[List[Optional[int]]] = None
+        next_ev: Optional[int] = None
+        target = 0
+        for k in range(len(parked)):
             if not parked[k]:
                 continue
             proc = cpus[k]
             v = proc.cycles
             if v > best or (v == best and k > cpu):
                 continue  # k acts after the acting cpu; nothing owed yet
-            if target == -2:
+            if costs is None:
                 # One-time setup for this drain: preconditions that are
                 # constant across the window (nothing acts in between).
-                if runtime.scheduler.has_runnable():
+                # Without a jump target the faithful path must decide
+                # (deadlock detection, the has_runnable skip-ahead).
+                idle_target = runtime._idle_target()
+                if idle_target is None or runtime.scheduler.has_runnable():
                     self._unpark_all()
                     return False
-                epoch = runtime.sched_epoch
-                if self._cost_epoch != epoch:
-                    get_cost = runtime.scheduler.idle_pick_cost
-                    for i in range(num_cpus):
-                        costs[i] = get_cost(i)
-                    self._cost_epoch = epoch
+                target = idle_target
+                costs = self._certificates()
+                heap = runtime.event_queue.heap
                 if heap:
                     next_ev = heap[0].time
-                # _idle()'s jump target: min over busy clocks + 1 and
-                # the next event time
-                current = runtime._current
-                target = -1
-                for i in range(num_cpus):
-                    if current[i] is not None:
-                        c = cpus[i].cycles + 1
-                        if target < 0 or c < target:
-                            target = c
-                if next_ev >= 0 and (target < 0 or next_ev < target):
-                    target = next_ev
-                if target < 0:
-                    # deadlock detection belongs to the faithful path
-                    self._unpark_all()
-                    return False
-            if next_ev >= 0 and next_ev <= v:
+            if next_ev is not None and next_ev <= v:
                 # due event: it must fire on k's faithful iteration
                 self._unpark_all()
                 return False

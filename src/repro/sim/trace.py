@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.threads.runtime import Observer, Runtime
+from repro.threads.runtime import Observer
 
 
 class TraceBudgetExceeded(Exception):
@@ -100,41 +100,6 @@ class TracingRuntimeAdapter(Observer):
         vlines = self.runtime.last_touch_lines
         if vlines is not None and vlines.size:
             self.recorder.record(thread.tid, vlines)
-
-
-def record_workload_trace(
-    workload,
-    config,
-    scheduler,
-    seed: int = 0,
-    engine: str = "stepped",
-    max_total_refs: int = 5_000_000,
-    strict: bool = True,
-    log_events: bool = False,
-) -> Tuple[ReferenceTraceRecorder, "Runtime"]:
-    """Run a workload to completion while recording reference traces.
-
-    Returns ``(recorder, runtime)``.  ``engine`` selects the scheduling
-    loop (``"stepped"`` or ``"event"``); because the engines are
-    bit-identical (docs/MODEL.md), the recorded traces are too, so the
-    off-line analyses below can be driven from either.  ``log_events``
-    additionally enables the event queue's audit log
-    (``runtime.event_queue.log``) for timeline reconstruction -- see
-    :func:`repro.sim.tracer.event_timeline`.
-    """
-    from repro.machine.smp import Machine
-
-    machine = Machine(config, seed=seed)
-    runtime = Runtime(machine, scheduler, engine=engine)
-    if log_events:
-        runtime.event_queue.enable_log()
-    recorder = ReferenceTraceRecorder(
-        max_total_refs=max_total_refs, strict=strict
-    )
-    TracingRuntimeAdapter(runtime, recorder)
-    workload.build(runtime)
-    runtime.run()
-    return recorder, runtime
 
 
 def footprint_curve_from_trace(

@@ -111,23 +111,3 @@ class FootprintTracer(Observer):
                 recount[tid] = recount.get(tid, 0) + 1
         current = {t: c for t, c in self._counts[cpu].items() if c != 0}
         return recount == current
-
-
-def event_timeline(runtime) -> List[Tuple[int, int, int, str]]:
-    """The run's fired-event timeline as ``(time, seq, tid, kind)`` rows.
-
-    Reads the event queue's audit log (``enable_log()`` must have been
-    called before the run; see
-    :func:`repro.sim.trace.record_workload_trace`).  The rows are in
-    firing order and -- because both engines share one
-    :class:`~repro.sim.events.EventQueue` with the deterministic
-    ``(time, seq, tid)`` ordering -- identical between ``--engine
-    stepped`` and ``--engine event``.
-    """
-    log = runtime.event_queue.log
-    if log is None:
-        raise ValueError(
-            "event logging was not enabled; call "
-            "runtime.event_queue.enable_log() before the run"
-        )
-    return [(e.time, e.seq, e.tid, e.kind.name) for e in log]

@@ -8,14 +8,14 @@ performance-counter views, and the timer queue; the scheduling *policy*
 Execution is a deterministic discrete-event simulation: at each step the
 cpu with the smallest cycle clock acts (ties to the lowest cpu id), either
 stepping its current thread by one yielded event or dispatching a new one.
-Two engines implement that contract with bit-identical counters (see
-docs/MODEL.md "The event engine"): the quantum-stepped loop below
-(``engine="stepped"``, the default) and the event-driven loop in
-:mod:`repro.sim.events` (``engine="event"``), which parks idle cpus and
-advances simulated time to the next queued event so blocked and sleeping
-threads cost no Python work.  Sleep timers, periodic realtime wakeups,
+The loop that does this is :class:`repro.sim.events.EventEngine` (see
+docs/MODEL.md "The scheduling loop"): it parks idle cpus and replays their
+failed picks as O(1) arithmetic, so blocked and sleeping threads cost no
+Python work.  ``Runtime(engine="stepped")`` turns parking off, giving the
+never-park reference the parity tests compare against; the counters are
+bit-identical either way.  Sleep timers, periodic realtime wakeups,
 scheduler ticks and quantum expiries all live in one deterministic
-:class:`~repro.sim.events.EventQueue` shared by both engines.
+:class:`~repro.sim.events.EventQueue`.
 A thread runs until it blocks, yields, sleeps or finishes -- the paper's
 scheduling interval -- at which point the runtime performs the paper's
 context-switch protocol: read the PICs to get the interval's miss count
@@ -47,7 +47,6 @@ from repro.machine.smp import Machine
 from repro.threads import events as ev
 from repro.threads.errors import (
     DeadlockError,
-    StepBudgetExceeded,
     SyncError,
     ThreadError,
     find_wait_cycle,
@@ -146,7 +145,8 @@ class Observer:
 class Runtime:
     """Interprets thread bodies against a machine under a scheduler."""
 
-    #: the selectable scheduling-loop engines (CLI: ``--engine``)
+    #: the scheduling-loop modes: ``"event"`` parks idle cpus,
+    #: ``"stepped"`` never parks (the parity tests' reference)
     ENGINES = ("stepped", "event")
 
     def __init__(
@@ -155,7 +155,7 @@ class Runtime:
         scheduler,
         injector=None,
         controller=None,
-        engine: str = "stepped",
+        engine: str = "event",
         quantum: Optional[int] = None,
     ) -> None:
         if engine not in self.ENGINES:
@@ -164,9 +164,8 @@ class Runtime:
             )
         if quantum is not None and quantum <= 0:
             raise ValueError("quantum must be a positive cycle count")
-        self.engine = engine
         #: optional time-slice in cycles: arms a QUANTUM_EXPIRE event at
-        #: every dispatch; expiry forces a synthetic Yield (both engines)
+        #: every dispatch; expiry forces a synthetic Yield
         self.quantum = quantum
         self.machine = machine
         self.scheduler = scheduler
@@ -215,12 +214,14 @@ class Runtime:
         # which imports this module (same idiom as run_hardened)
         from repro.sim import events as sim_events
 
-        #: the deterministic event queue shared by both engines: sleep
-        #: timers (THREAD_WAKEUP), periodic realtime wakeups, scheduler
-        #: ticks and quantum expiries, ordered by (time, seq, tid)
+        #: the deterministic event queue: sleep timers (THREAD_WAKEUP),
+        #: periodic realtime wakeups, scheduler ticks and quantum
+        #: expiries, ordered by (time, seq, tid)
         self.event_queue = sim_events.EventQueue()
         self._event_kinds = sim_events.EventKind
-        self._event_engine = None
+        #: the scheduling loop; it persists across run() calls so the
+        #: watchdog's chunked supervision resumes parked state exactly
+        self._engine = sim_events.EventEngine(self, park=engine == "event")
         #: per-cpu dispatch generation, bumped on every successful
         #: dispatch; lazily invalidates armed QUANTUM_EXPIRE events
         self._dispatch_gens: List[int] = [0] * machine.config.num_cpus
@@ -236,13 +237,13 @@ class Runtime:
         #: QUANTUM_EXPIRE forced preemptions delivered
         self.preemptions = 0
         #: audited count of full (faithful) scheduling-loop iterations;
-        #: the event engine's O(events) complexity claim is asserted on
-        #: this counter (tests/sim/test_events.py)
+        #: the loop's O(events) complexity claim with parking on is
+        #: asserted on this counter (tests/sim/test_events.py)
         self.loop_steps = 0
-        #: audited count of O(1) virtual idle iterations (event engine)
+        #: audited count of O(1) virtual idle iterations (parked cpus)
         self.virtual_steps = 0
         #: bumped whenever a scheduler callback runs (pick, ready,
-        #: dispatched, blocked, created); the event engine's cached
+        #: dispatched, blocked, created); the loop's cached
         #: idle-pick cost certificates are valid while this is unchanged
         self.sched_epoch = 0
         #: intervals whose PIC deltas looked wrapped (see
@@ -387,7 +388,7 @@ class Runtime:
         """Look up a thread by tid."""
         return self.threads[tid]
 
-    # -- event-queue services (docs/MODEL.md "The event engine") -------------
+    # -- event-queue services (docs/MODEL.md "The scheduling loop") ----------
 
     def at_periodic(
         self, tid: int, period: int, start: Optional[int] = None
@@ -433,77 +434,42 @@ class Runtime:
     # -- the scheduling loop -------------------------------------------------
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Run until every thread finishes (or ``max_events`` is hit).
+        """Run until every thread finishes (or ``max_events`` is hit)."""
+        self._engine.run(max_events)
 
-        Dispatches to the engine selected at construction; the event
-        engine instance persists across calls so the watchdog's chunked
-        supervision resumes parked state exactly.
+    def _idle_target(self) -> Optional[int]:
+        """Where an idle cpu's clock jumps: one past the earliest busy
+        clock, or the next queued event if that is sooner.
+
+        ``None`` when no cpu is busy and nothing is queued.  A parked
+        cpu's virtual step uses this same rule, so it cannot drift from
+        the faithful idle iteration it stands in for.
         """
-        if self.engine == "event":
-            engine = self._event_engine
-            if engine is None:
-                from repro.sim.events import EventEngine
-
-                engine = self._event_engine = EventEngine(self)
-            engine.run(max_events)
-            return
         cpus = self.machine.cpus
-        single = len(cpus) == 1
-        current = self._current
-        step = self._step
-        queue = self.event_queue
-        heap = queue.heap  # mutated in place by the queue, never rebound
-        while self._live > 0:
-            if max_events is not None and self.events_executed >= max_events:
-                raise StepBudgetExceeded(max_events)
-            self.loop_steps += 1
-            cpu = 0 if single else self._min_clock_cpu()
-            if heap:
-                queue.fire_due(self, cpus[cpu].cycles)
-            thread = current[cpu]
+        target = None
+        for i, thread in enumerate(self._current):
             if thread is not None:
-                step(cpu, thread)
-            else:
-                dispatched = self._dispatch(cpu)
-                if dispatched is None:
-                    self._idle(cpu)
-
-    def _min_clock_cpu(self) -> int:
-        cpus = self.machine.cpus
-        best = 0
-        best_cycles = cpus[0].cycles
-        for i in range(1, len(cpus)):
-            if cpus[i].cycles < best_cycles:
-                best, best_cycles = i, cpus[i].cycles
-        return best
-
-    def _fire_due(self, now: int) -> None:
-        """Fire queued events due at ``now`` (delegates to the queue)."""
-        self.event_queue.fire_due(self, now)
+                busy = cpus[i].cycles + 1
+                if target is None or busy < target:
+                    target = busy
+        heap = self.event_queue.heap
+        if heap and (target is None or heap[0].time < target):
+            target = heap[0].time
+        return target
 
     def _idle(self, cpu: int) -> None:
         """Nothing runnable on an idle cpu: advance its clock or detect
         deadlock/termination."""
-        clock = self.machine.cycles(cpu)
-        busy = [
-            self.machine.cycles(i)
-            for i, t in enumerate(self._current)
-            if t is not None
-        ]
-        targets = []
-        if busy:
-            targets.append(min(busy) + 1)
-        heap = self.event_queue.heap
-        if heap:
-            targets.append(heap[0].time)
-        if not targets and self.scheduler.has_runnable():
+        target = self._idle_target()
+        if target is None and self.scheduler.has_runnable():
             # Runnable work exists that this cpu will not take (e.g. a
             # thread too hot to steal); skip ahead of the other cpus so the
             # thread's home cpu becomes the scheduling point and claims it
             # from its own heap.
-            targets.append(max(p.cycles for p in self.machine.cpus) + 1)
-        if targets:
-            self.machine.cpus[cpu].cycles = max(clock + 1, min(targets))
+            target = max(p.cycles for p in self.machine.cpus) + 1
+        if target is not None:
+            proc = self.machine.cpus[cpu]
+            proc.cycles = max(proc.cycles + 1, target)
             return
         blocked = [t for t in self.threads.values() if t.alive]
         if blocked:

@@ -10,11 +10,11 @@ itself*: with the default parameters well over 90% of all simulated
 cycles have every thread asleep, so a quantum-stepped simulator burns
 almost all its wall time idling cpus forward one tick at a time.
 
-That makes this the reference fixture for the event-driven engine
-(``--engine event``, docs/MODEL.md): the event engine jumps simulated
-time across the sleep gaps and the ``bench_engine_event`` benchmark
-gates an order-of-magnitude wall-time win on exactly this shape --
-while the counters stay bit-identical to the stepped engine.
+That makes this the reference fixture for idle-cpu parking in the
+scheduling loop (docs/MODEL.md "The scheduling loop"): parked cpus jump
+simulated time across the sleep gaps, and the ``bench_engine_event``
+benchmark gates an order-of-magnitude wall-time win over the never-park
+mode on exactly this shape -- while the counters stay bit-identical.
 
 Each request thread staggers in, then alternates short touch bursts
 over its private region with long sleeps.  States are disjoint, so as

@@ -1,7 +1,7 @@
 """The idle-quiescence contract (``Scheduler.idle_pick_cost``).
 
-The event engine virtualises failed picks only when the scheduler
-certifies them: ``idle_pick_cost(cpu)`` returning an ``int`` promises
+The scheduling loop parks an idle cpu, virtualising its failed picks,
+only when the scheduler certifies them: ``idle_pick_cost(cpu)`` returning an ``int`` promises
 that a real ``pick(cpu)`` would return ``(None, cost)`` with exactly
 that cost and mutate nothing beyond what ``account_idle_picks``
 settles.  These tests pin that promise for every shipped scheduler by

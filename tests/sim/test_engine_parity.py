@@ -1,19 +1,29 @@
-"""Golden-parity matrix: ``--engine event`` is bit-identical to stepped.
+"""Golden-parity matrix: idle-cpu parking is bit-identical to never parking.
 
 Every cell of the (policy x workload x cpus) matrix runs the same
-workload under both engines and compares the *full* observable state --
-global time, per-cpu cycle and instruction counters, PIC registers,
-miss totals, context switches, executed events, timer wakeups, the
-per-thread result signatures, and the scheduler's own pick/steal/heap
-statistics.  Any drift anywhere fails the cell; the CI ``engine-parity``
-job runs exactly this file and uploads the diff artifact written to
-``$ENGINE_PARITY_DIFF`` when a cell fails.
+workload with parking on (``engine="event"``, the default) and off
+(``engine="stepped"``, the reference) and compares the *full* observable
+state -- global time, per-cpu cycle and instruction counters, PIC
+registers, miss totals, context switches, executed events, timer
+wakeups, the per-thread result signatures, the scheduler's own
+pick/steal/heap statistics and, under fault injection, the injection
+tallies.  It also checks that loop iterations are conserved.  Any drift
+anywhere fails the cell; the CI ``engine-parity`` job runs this file and
+uploads the diff artifact written to ``$ENGINE_PARITY_DIFF`` when a cell
+fails.
 """
 
 import os
 
 import pytest
 
+from repro.faults import (
+    AnnotationFaults,
+    CounterFaults,
+    FaultInjector,
+    FaultPlan,
+    ThreadFaults,
+)
 from repro.faults.campaign import campaign_workloads
 from repro.machine.configs import SMALL
 from repro.machine.smp import Machine
@@ -42,6 +52,9 @@ def _full_state(runtime, machine, scheduler):
         "timer_wakeups": runtime.timer_wakeups,
         "early_wakeups": runtime.early_wakeups,
         "preemptions": runtime.preemptions,
+        "counter_overflow_suspects": runtime.counter_overflow_suspects,
+        "loop_steps": runtime.loop_steps,
+        "virtual_steps": runtime.virtual_steps,
         "threads": tuple(
             sorted(
                 (
@@ -64,6 +77,8 @@ def _full_state(runtime, machine, scheduler):
         state["heap_ops"] = tuple(
             (h.pushes, h.pops) for h in scheduler.heaps
         )
+    if runtime.injector is not None:
+        state["injections"] = runtime.injector.summary()
     return state
 
 
@@ -77,23 +92,40 @@ def _run_cell(policy, build, cpus, engine, **runtime_kwargs):
 
 
 def _assert_parity(cell, stepped, event):
-    if stepped == event:
+    """Fail ``cell`` unless the two runs agree on every counter and
+    conserve loop iterations.
+
+    The step counters are where the modes differ by design.  What must
+    hold is conservation: the never-park reference takes no virtual
+    steps, and each of its iterations is either a faithful or a virtual
+    step with parking on.
+    """
+    stepped, event = dict(stepped), dict(event)
+    stepped_steps = (stepped.pop("loop_steps"), stepped.pop("virtual_steps"))
+    event_steps = (event.pop("loop_steps"), event.pop("virtual_steps"))
+    drifted = {
+        key: (stepped[key], event[key])
+        for key in sorted(stepped)
+        if stepped[key] != event[key]
+    }
+    if stepped_steps[1] != 0 or stepped_steps[0] != sum(event_steps):
+        drifted["steps (loop, virtual)"] = (stepped_steps, event_steps)
+    if not drifted:
         return
-    drifted = sorted(k for k in stepped if stepped[k] != event[k])
     path = os.environ.get("ENGINE_PARITY_DIFF")
     if path:
         with open(path, "a") as fh:
             fh.write(f"MISMATCH {cell}\n")
-            for key in drifted:
+            for key, (s, e) in drifted.items():
                 fh.write(
                     f"  {key}:\n"
-                    f"    stepped = {stepped[key]!r}\n"
-                    f"    event   = {event[key]!r}\n"
+                    f"    stepped = {s!r}\n"
+                    f"    event   = {e!r}\n"
                 )
     pytest.fail(
-        f"{cell}: engines drifted in {', '.join(drifted)}; "
-        f"stepped={[stepped[k] for k in drifted]!r} "
-        f"event={[event[k] for k in drifted]!r}"
+        f"{cell}: parking on and off drifted in {', '.join(drifted)}; "
+        f"stepped={[s for s, _ in drifted.values()]!r} "
+        f"event={[e for _, e in drifted.values()]!r}"
     )
 
 
@@ -157,14 +189,61 @@ def test_engine_parity_with_quantum_and_periodic(policy):
         _assert_parity(cell, stepped, event)
 
 
+#: every hint-fault family plus absorbed thread delays in one plan: the
+#: fault campaign runs with parking on, so parity must hold under
+#: injection too (the injector draws from its RNG once per step)
+FAULT_PLAN = FaultPlan(
+    seed=7,
+    annotation=AnnotationFaults(
+        drop_prob=0.3, corrupt_prob=0.4, bogus_prob=0.3
+    ),
+    counter=CounterFaults(mode="wrap", prob=0.25, magnitude=1000),
+    thread=ThreadFaults(mode="delay", prob=0.01),
+)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_engine_parity_under_fault_injection(policy):
+    factory = WORKLOADS["merge"]
+    for cpus in (2, 4):
+        cell = f"{policy}/merge+faults/cpus={cpus}"
+        stepped, event = (
+            _run_cell(
+                policy,
+                lambda rt: factory().build(rt),
+                cpus,
+                engine,
+                injector=FaultInjector(FAULT_PLAN),
+            )
+            for engine in ("stepped", "event")
+        )
+        assert stepped["injections"]["delays"] > 0
+        assert event["virtual_steps"] > 0  # parking was exercised
+        _assert_parity(cell, stepped, event)
+
+
 def test_diff_artifact_written_on_mismatch(tmp_path, monkeypatch):
     """The CI artifact plumbing itself: a drifted cell writes the diff."""
     diff = tmp_path / "parity-diff.txt"
     monkeypatch.setenv("ENGINE_PARITY_DIFF", str(diff))
-    stepped = {"time": 100, "misses": 5}
-    event = {"time": 100, "misses": 6}
+    stepped = {"time": 100, "misses": 5, "loop_steps": 9, "virtual_steps": 0}
+    event = {"time": 100, "misses": 6, "loop_steps": 7, "virtual_steps": 2}
     with pytest.raises(pytest.fail.Exception):
         _assert_parity("fcfs/example/cpus=2", stepped, event)
     text = diff.read_text()
     assert "MISMATCH fcfs/example/cpus=2" in text
     assert "misses" in text and "time" not in text.split("MISMATCH")[1]
+
+
+def test_unconserved_steps_fail_the_cell(tmp_path, monkeypatch):
+    """Equal counters are not enough: a run whose iterations do not add
+    up (or a reference that parked) fails and lands in the artifact."""
+    diff = tmp_path / "parity-diff.txt"
+    monkeypatch.setenv("ENGINE_PARITY_DIFF", str(diff))
+    event = {"time": 100, "loop_steps": 7, "virtual_steps": 2}
+    for stepped_steps in ((8, 0), (7, 2)):
+        loop, virtual = stepped_steps
+        stepped = {"time": 100, "loop_steps": loop, "virtual_steps": virtual}
+        with pytest.raises(pytest.fail.Exception, match="steps"):
+            _assert_parity("fcfs/example/cpus=2", stepped, event)
+    assert diff.read_text().count("steps (loop, virtual)") == 2

@@ -1,12 +1,13 @@
-"""The event queue and the event-driven engine (``repro.sim.events``).
+"""The event queue and the scheduling loop (``repro.sim.events``).
 
 Covers the queue's deterministic ``(time, seq, tid)`` ordering (including
 a hypothesis proof that pop order is independent of heap insertion
-order), the semantics of each :class:`EventKind`, and the audited
-step-count complexity claims: the event engine's faithful loop
-iterations are O(executed events), where the stepped loop pays O(cpus)
-idle iterations per busy step.  Bit-parity between the engines is pinned
-separately, cell by cell, in ``test_engine_parity.py``.
+order), the semantics of each :class:`EventKind` with parking on and
+off, and the audited step-count complexity claims: with parking on the
+faithful loop iterations are O(executed events), where the never-park
+loop pays O(cpus) idle iterations per busy step.  Bit-parity between the
+two modes is pinned separately, cell by cell, in
+``test_engine_parity.py``.
 """
 
 import heapq

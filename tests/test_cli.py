@@ -74,3 +74,29 @@ class TestCommands:
         assert "counter_zero" in out
         assert "identical" in out
         assert "honoured the hint contract" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--workload", "tasks", "--cpus", "4",
+             "--backend", "analytic"],
+            ["compare", "--workload", "tasks", "--cpus", "2",
+             "--backend", "analytic"],
+            ["experiment", "fig9", "--machine-backend", "analytic"],
+        ],
+    )
+    def test_multicpu_analytic_is_refused(self, capsys, argv):
+        """The analytic backend has no coherence and is checked only on
+        1-cpu FCFS: multi-cpu runs exit non-zero with one line that
+        points at the trust envelope, before any simulation starts."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "docs/MODEL.md" in lines[0]
+
+    def test_one_cpu_analytic_still_runs(self, capsys):
+        assert main(["run", "--workload", "tsp", "--policy", "fcfs",
+                     "--backend", "analytic"]) == 0
+        assert "tsp" in capsys.readouterr().out
