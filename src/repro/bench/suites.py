@@ -195,6 +195,50 @@ def machine_touch_line() -> BenchFn:
     return run
 
 
+#: lines per write run of ``machine_touch_run``: 2.5 pages of 128 lines
+_RUN_LINES = 320
+_RUNS = 8
+
+
+@register(
+    "machine_touch_run", suites=("hotpaths",), ops=4 * _RUNS * _RUN_LINES
+)
+def machine_touch_run() -> BenchFn:
+    """Multi-page contiguous write runs alternating between two cpus of a
+    4-cpu Ultra-1.
+
+    Most lines a simulated run touches arrive in workload touches that
+    are one contiguous run of virtual lines, often spanning pages.  Each
+    run here starts half a page in, so it translates into three page
+    pieces.  Each cpu writes every run twice: the first pass misses on
+    every line (the other cpu's writes invalidated its copies) and is
+    priced as remote, and the second hits on every line.
+    """
+    from repro.machine.configs import ULTRA1
+    from repro.machine.smp import Machine
+
+    machine = Machine(ULTRA1.with_cpus(4), seed=0)
+    runs = [
+        np.arange(start, start + _RUN_LINES, dtype=np.int64)
+        for start in range(64, 64 + _RUNS * 512, 512)
+    ]
+    l2 = [cpu.l2.stats for cpu in machine.cpus]
+
+    def run() -> Mapping[str, float]:
+        miss0 = sum(s.misses for s in l2)
+        inval0 = sum(s.invalidations for s in l2)
+        for cpu in (0, 1):
+            for _ in range(2):  # all-miss pass, then all-hit pass
+                for vlines in runs:
+                    machine.touch(cpu, vlines, write=True)
+        return {
+            "sim_misses": float(sum(s.misses for s in l2) - miss0),
+            "invalidations": float(sum(s.invalidations for s in l2) - inval0),
+        }
+
+    return run
+
+
 @register("heap_churn", suites=("smoke", "hotpaths"), ops=2 * 256)
 def heap_churn() -> BenchFn:
     """Priority-heap push/pop churn with lazy-deletion validation.

@@ -20,8 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
 
-import numpy as np
-
 from repro.machine.processor import Processor
 
 
@@ -59,17 +57,17 @@ class CMLBuffer:
         """OS-side: tell the device whose misses it is now seeing."""
         self._current_tid = tid
 
-    def _on_miss_lines(self, plines: np.ndarray) -> None:
+    def _on_miss_lines(self, plines: List[int]) -> None:
         if self._current_tid is None:
             return  # idle / untracked traffic (e.g. setup-phase touches)
         if self._machine is not None and self._machine.kernel_mode:
             return  # supervisor-mode traffic: not monitored
         tid = self._current_tid
         lpp = self.lines_per_page
-        for page in np.unique(plines // lpp).tolist():
+        for page in sorted({pline // lpp for pline in plines}):
             if len(self._ring) == self.capacity:
                 self.dropped += 1
-            self._ring.append(PageMissRecord(int(page), tid))
+            self._ring.append(PageMissRecord(page, tid))
             self.recorded += 1
 
     def drain(self) -> List[PageMissRecord]:

@@ -24,6 +24,19 @@ LINE_BYTES = 64
 PAGE_BYTES = 8192
 
 
+def as_lines(lines) -> List[int]:
+    """A batch of line numbers as a plain ``list`` of ints.
+
+    The simulated touch path (VM, caches, directory, listeners) works on
+    lists: most batches are a line or a few contiguous runs, where list
+    operations cost less than one numpy call.  A list passes through
+    as is; anything else (an array, a range) is converted once.
+    """
+    if lines.__class__ is list:
+        return lines
+    return np.asarray(lines, dtype=np.int64).tolist()
+
+
 class AllocationError(Exception):
     """Raised when an :class:`AddressSpace` cannot satisfy an allocation."""
 

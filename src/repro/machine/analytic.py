@@ -62,8 +62,6 @@ import numpy as np
 from repro.machine.cache import AccessResult, CacheStats
 from repro.machine.configs import MachineConfig
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 #: log2 buckets for reuse distances in expected-miss space; bucket ``i``
 #: holds distances in ``[2**i - 1, 2**(i+1) - 1)``, so bucket 0 is the
 #: exact-reuse case (``d == 0`` -- guaranteed hits) and 40 buckets cover
@@ -163,11 +161,13 @@ class AnalyticCache:
 
     # -- the access path ---------------------------------------------------
 
-    def access(self, lines: np.ndarray, write: bool = False) -> AccessResult:
-        """Price one touch batch; integer hits/misses, no line events."""
+    def access(self, lines, write: bool = False) -> AccessResult:
+        """Price one touch batch (a list or an array of lines); integer
+        hits/misses, no line events."""
+        lines = np.asarray(lines, dtype=np.int64)
         refs = int(lines.size)
         if refs == 0:
-            return AccessResult(0, 0, 0, _EMPTY, _EMPTY)
+            return AccessResult(0, 0, 0, [], [])
         if refs == 1 or bool(np.all(lines[1:] > lines[:-1])):
             distinct = lines  # already strictly ascending (region touches)
         else:
@@ -197,7 +197,7 @@ class AnalyticCache:
         self.stats.refs += refs
         self.stats.hits += hits
         self.stats.misses += misses
-        return AccessResult(refs, hits, misses, _EMPTY, _EMPTY)
+        return AccessResult(refs, hits, misses, [], [])
 
     # -- footprints --------------------------------------------------------
 

@@ -21,18 +21,18 @@ Caches operate on *physical line numbers* (already translated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List
+import math
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-#: Listener signature: called with arrays of physical line numbers.
-LineListener = Callable[[np.ndarray], None]
+from repro.machine.address import as_lines
 
-_EMPTY = np.empty(0, dtype=np.int64)
+#: Listener signature: called with a list of physical line numbers.
+LineListener = Callable[[List[int]], None]
 
 
-def _net_effect(installed, evicted):
+def _net_effect(installed, evicted) -> Tuple[List[int], List[int]]:
     """Reduce raw install/evict logs of one batch to their net residency
     effect.
 
@@ -49,29 +49,27 @@ def _net_effect(installed, evicted):
         counts[pline] = counts.get(pline, 0) - 1
     net_in = [p for p, c in counts.items() if c > 0]
     net_out = [p for p, c in counts.items() if c < 0]
-    return (
-        np.asarray(net_in, dtype=np.int64),
-        np.asarray(net_out, dtype=np.int64),
-    )
+    return net_in, net_out
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one access batch.
 
     ``installed``/``evicted`` are the *net* residency changes of the batch
     (see :func:`_net_effect`); ``miss_lines`` is the raw, ordered sequence
     of missed lines (length ``misses``), which the hierarchy forwards to
-    the next level.
+    the next level.  All three hold physical line numbers.  A named tuple
+    rather than a frozen dataclass: one is built per touch, and a frozen
+    dataclass's ``__init__`` costs about three times as much.
     """
 
     refs: int
     hits: int
     misses: int
-    installed: np.ndarray
-    evicted: np.ndarray
+    installed: List[int]
+    evicted: List[int]
     writebacks: int = 0
-    miss_lines: np.ndarray = field(default_factory=lambda: _EMPTY)
+    miss_lines: Sequence[int] = ()
 
 
 class CacheStats:
@@ -127,21 +125,22 @@ class _BaseCache:
         """
         self._evict_listeners.append(listener)
 
-    def _notify(self, installed: np.ndarray, evicted: np.ndarray) -> None:
-        if installed.size:
+    def _notify(self, installed: List[int], evicted: List[int]) -> None:
+        if installed:
             for listener in self._install_listeners:
                 listener(installed)
-        if evicted.size:
+        if evicted:
             for listener in self._evict_listeners:
                 listener(evicted)
 
     # -- interface subclasses must implement ------------------------------
 
-    def access(self, plines: np.ndarray, write: bool = False) -> AccessResult:
-        """Access a batch of physical lines in order; returns the outcome."""
+    def access(self, plines, write: bool = False) -> AccessResult:
+        """Access a batch of physical lines (a list or an array) in order;
+        returns the outcome."""
         raise NotImplementedError
 
-    def invalidate(self, plines: np.ndarray) -> int:
+    def invalidate(self, plines) -> int:
         """Drop any resident copies of ``plines``; returns how many were."""
         raise NotImplementedError
 
@@ -163,18 +162,36 @@ class _BaseCache:
 class DirectMappedCache(_BaseCache):
     """A physically indexed, physically tagged direct-mapped cache.
 
-    Like :class:`SetAssociativeCache`, the state lives in plain Python
-    lists and every batch runs through one ordered per-reference loop, so
-    hit/miss counts are exact whatever the batch holds.  Most batches the
-    runtime issues are one or a few lines (the scheduler's own records,
-    written on every switch); at that size a list loop costs a fraction of
-    a single numpy call.  The raw install/evict logs are reduced with
+    The state lives in plain Python lists.  A batch is priced piece by
+    piece, each piece ending at a frame boundary, at the end of the index
+    space, or at the end of the batch:
+
+    - a piece whose lines are all resident is one list compare of the
+      residency slice against the piece;
+    - a piece that is one contiguous run of lines, none of them resident,
+      is installed by slice assignment, with the writebacks counted from
+      the dirty slice;
+    - anything else -- a mixed run, scattered lines, a single line -- goes
+      through :meth:`_replay`, the ordered per-reference loop.
+
+    Pieces are priced in batch order, and a run piece never wraps the
+    index space, so no two of its lines share an index: the outcome
+    (including the order of ``miss_lines`` and of evictions) is the
+    per-reference loop's, line for line.  ``frame_lines`` only decides
+    where pieces are cut: a run of virtual lines is a run of physical
+    lines only up to a page-frame boundary, so the hierarchy passes the
+    page size in lines.  The raw install/evict logs are reduced with
     :func:`_net_effect` only when the batch actually reinstalls a line it
     evicted (or evicts one it installed); otherwise raw is net.
     """
 
-    def __init__(self, size_bytes: int, line_bytes: int = 64) -> None:
+    def __init__(
+        self, size_bytes: int, line_bytes: int = 64, frame_lines: int = 0
+    ) -> None:
         super().__init__(size_bytes, line_bytes)
+        # pieces are cut at multiples of this: at every frame boundary
+        # and at the end of the index space (frame_lines=0: no frames)
+        self._cut = math.gcd(frame_lines, self.num_lines)
         #: per index: resident physical line (-1 = empty) and dirty flag
         self._resident: List[int] = [-1] * self.num_lines
         self._dirty: List[bool] = [False] * self.num_lines
@@ -183,15 +200,77 @@ class DirectMappedCache(_BaseCache):
         """Cache index a physical line maps to."""
         return pline % self.num_lines
 
-    def access(self, plines: np.ndarray, write: bool = False) -> AccessResult:
-        lines = np.asarray(plines, dtype=np.int64).tolist()
-        if not lines:
-            return AccessResult(0, 0, 0, _EMPTY, _EMPTY)
+    def access(self, plines, write: bool = False) -> AccessResult:
+        lines = as_lines(plines)
+        refs = len(lines)
         n = self.num_lines
+        cut = self._cut
         resident = self._resident
         dirty = self._dirty
         installed: List[int] = []
         evicted: List[int] = []
+        writebacks = 0
+        j = 0
+        while j < refs:
+            pline = lines[j]
+            i = pline % n
+            count = min(refs - j, cut - pline % cut)
+            if count == 1:
+                writebacks += self._replay((pline,), write, installed, evicted)
+                j += 1
+                continue
+            piece = lines[j:j + count]
+            j += count
+            old = resident[i:i + count]
+            if old == piece:  # every line hits
+                if write:
+                    dirty[i:i + count] = [True] * count
+                continue
+            last = pline + count - 1
+            if piece[-1] == last and piece == list(range(pline, last + 1)):
+                # a resident line sits at its own index, so it can only
+                # equal the piece line at the same position
+                empty = old.count(-1)
+                if empty == count or set(old).isdisjoint(piece):
+                    # every line misses; only resident lines are dirty
+                    if empty < count:
+                        writebacks += dirty[i:i + count].count(True)
+                        evicted += (
+                            old if empty == 0 else [p for p in old if p >= 0]
+                        )
+                    resident[i:i + count] = piece
+                    dirty[i:i + count] = [write] * count
+                    installed += piece
+                    continue
+            writebacks += self._replay(piece, write, installed, evicted)
+        misses = len(installed)
+        if evicted and not set(evicted).isdisjoint(installed):
+            net_in, net_out = _net_effect(installed, evicted)
+        else:
+            net_in, net_out = installed, evicted
+        stats = self.stats
+        stats.refs += refs
+        stats.hits += refs - misses
+        stats.misses += misses
+        stats.writebacks += writebacks
+        self._notify(net_in, net_out)
+        return AccessResult(
+            refs=refs,
+            hits=refs - misses,
+            misses=misses,
+            installed=net_in,
+            evicted=net_out,
+            writebacks=writebacks,
+            miss_lines=installed,
+        )
+
+    def _replay(self, lines, write: bool, installed: List[int],
+                evicted: List[int]) -> int:
+        """The per-reference loop: access ``lines`` in order, appending to
+        the raw install/evict logs; returns the writebacks."""
+        n = self.num_lines
+        resident = self._resident
+        dirty = self._dirty
         writebacks = 0
         for pline in lines:
             i = pline % n
@@ -207,36 +286,14 @@ class DirectMappedCache(_BaseCache):
             resident[i] = pline
             dirty[i] = write
             installed.append(pline)
-        refs = len(lines)
-        misses = len(installed)
-        miss_lines = np.array(installed, dtype=np.int64)
-        if evicted and not set(evicted).isdisjoint(installed):
-            net_in, net_out = _net_effect(installed, evicted)
-        else:
-            net_in = miss_lines
-            net_out = np.array(evicted, dtype=np.int64)
-        stats = self.stats
-        stats.refs += refs
-        stats.hits += refs - misses
-        stats.misses += misses
-        stats.writebacks += writebacks
-        self._notify(net_in, net_out)
-        return AccessResult(
-            refs=refs,
-            hits=refs - misses,
-            misses=misses,
-            installed=net_in,
-            evicted=net_out,
-            writebacks=writebacks,
-            miss_lines=miss_lines,
-        )
+        return writebacks
 
-    def invalidate(self, plines: np.ndarray) -> int:
+    def invalidate(self, plines) -> int:
         n = self.num_lines
         resident = self._resident
         dirty = self._dirty
         victims: List[int] = []
-        for pline in np.asarray(plines, dtype=np.int64).tolist():
+        for pline in as_lines(plines):
             i = pline % n
             if resident[i] == pline:
                 resident[i] = -1
@@ -245,7 +302,7 @@ class DirectMappedCache(_BaseCache):
         if not victims:
             return 0
         self.stats.invalidations += len(victims)
-        self._notify(_EMPTY, np.array(victims, dtype=np.int64))
+        self._notify([], victims)
         return len(victims)
 
     def resident_lines(self) -> np.ndarray:
@@ -255,11 +312,11 @@ class DirectMappedCache(_BaseCache):
         return self._resident[pline % self.num_lines] == pline
 
     def flush(self) -> int:
-        victims = self.resident_lines()
+        victims = [p for p in self._resident if p >= 0]
         self._resident = [-1] * self.num_lines
         self._dirty = [False] * self.num_lines
-        self._notify(_EMPTY, victims)
-        return int(victims.size)
+        self._notify([], victims)
+        return len(victims)
 
 
 class SetAssociativeCache(_BaseCache):
@@ -294,8 +351,8 @@ class SetAssociativeCache(_BaseCache):
         ]
         self._clock = 0
 
-    def access(self, plines: np.ndarray, write: bool = False) -> AccessResult:
-        plines = np.asarray(plines, dtype=np.int64)
+    def access(self, plines, write: bool = False) -> AccessResult:
+        lines = as_lines(plines)
         hits = 0
         installed: List[int] = []
         evicted: List[int] = []
@@ -305,7 +362,7 @@ class SetAssociativeCache(_BaseCache):
         dirty = self._dirty
         stamp = self._stamp
         clock = self._clock
-        for pline in plines.tolist():
+        for pline in lines:
             s = pline % num_sets
             clock += 1
             row = tags[s]
@@ -330,13 +387,13 @@ class SetAssociativeCache(_BaseCache):
         self._clock = clock
         net_in, net_out = _net_effect(installed, evicted)
         result = AccessResult(
-            refs=plines.size,
+            refs=len(lines),
             hits=hits,
             misses=len(installed),
             installed=net_in,
             evicted=net_out,
             writebacks=writebacks,
-            miss_lines=np.asarray(installed, dtype=np.int64),
+            miss_lines=installed,
         )
         stats = self.stats
         stats.refs += result.refs
@@ -346,9 +403,9 @@ class SetAssociativeCache(_BaseCache):
         self._notify(result.installed, result.evicted)
         return result
 
-    def invalidate(self, plines: np.ndarray) -> int:
+    def invalidate(self, plines) -> int:
         victims: List[int] = []
-        for pline in np.asarray(plines, dtype=np.int64).tolist():
+        for pline in as_lines(plines):
             s = pline % self.num_sets
             row = self._tags[s]
             try:
@@ -359,7 +416,7 @@ class SetAssociativeCache(_BaseCache):
             self._dirty[s][w] = False
             victims.append(pline)
         self.stats.invalidations += len(victims)
-        self._notify(_EMPTY, np.asarray(victims, dtype=np.int64))
+        self._notify([], victims)
         return len(victims)
 
     def resident_lines(self) -> np.ndarray:
@@ -370,11 +427,11 @@ class SetAssociativeCache(_BaseCache):
         return pline in self._tags[pline % self.num_sets]
 
     def flush(self) -> int:
-        victims = self.resident_lines()
+        victims = [tag for row in self._tags for tag in row if tag >= 0]
         ways = self.ways
         for s in range(self.num_sets):
             self._tags[s] = [-1] * ways
             self._dirty[s] = [False] * ways
             self._stamp[s] = [0] * ways
-        self._notify(_EMPTY, victims)
-        return int(victims.size)
+        self._notify([], victims)
+        return len(victims)

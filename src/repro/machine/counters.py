@@ -46,6 +46,18 @@ class CounterEvent(Enum):
     ECACHE_INVALIDATIONS = "ecache_invalidations"
 
 
+#: which amount of a memory access batch each event counts (see
+#: :meth:`PerformanceCounters.record_access`): every reference is one
+#: instruction and one E-cache reference
+_ACCESS_SLOT = {
+    CounterEvent.INSTRUCTIONS: 0,
+    CounterEvent.ECACHE_REFS: 0,
+    CounterEvent.ECACHE_HITS: 1,
+    CounterEvent.ECACHE_MISSES: 2,
+    CounterEvent.CYCLES: 3,
+}
+
+
 class CounterAccessError(Exception):
     """Raised on a user-mode read with the PCR user-trace bit clear."""
 
@@ -117,6 +129,18 @@ class PerformanceCounters:
             pic0.value = (pic0.value + amount) % pic0.wrap
         if event is pic1.event:
             pic1.value = (pic1.value + amount) % pic1.wrap
+
+    def record_access(
+        self, refs: int, hits: int, misses: int, cycles: int
+    ) -> None:
+        """Hardware-side: one memory access batch of ``refs`` references
+        (each also an instruction), ``hits`` + ``misses`` of them, taking
+        ``cycles``; the same counts as one :meth:`record` per event."""
+        amounts = (refs, hits, misses, cycles)
+        for pic in self._pics:
+            slot = _ACCESS_SLOT.get(pic.event)
+            if slot is not None:
+                pic.value = (pic.value + amounts[slot]) % pic.wrap
 
     def read(self, privileged: bool = False) -> Tuple[int, int]:
         """Read (PIC0, PIC1) from user or supervisor mode."""

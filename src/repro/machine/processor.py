@@ -16,9 +16,7 @@ with no directory installs none, and every miss is local).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from repro.machine.backend import HierarchyBackend
 from repro.machine.cache import AccessResult
@@ -27,7 +25,7 @@ from repro.machine.counters import CounterEvent, PerformanceCounters
 from repro.machine.hierarchy import CacheHierarchy
 
 #: Hook: given the missed lines, return how many were held by another cpu.
-RemoteProbe = Callable[[np.ndarray], int]
+RemoteProbe = Callable[[List[int]], int]
 
 
 class Processor:
@@ -73,13 +71,13 @@ class Processor:
         self.counters.record(CounterEvent.INSTRUCTIONS, instructions)
         self.counters.record(CounterEvent.CYCLES, instructions)
 
-    def touch_data(self, plines: np.ndarray, write: bool = False) -> AccessResult:
+    def touch_data(self, plines, write: bool = False) -> AccessResult:
         """Touch physical data lines; returns the E-cache access result."""
         result = self.hierarchy.access_data(plines, write=write)
         self._account(result, data=True)
         return result
 
-    def fetch_instructions(self, plines: np.ndarray) -> AccessResult:
+    def fetch_instructions(self, plines) -> AccessResult:
         """Fetch instruction lines (used when workloads model code regions)."""
         result = self.hierarchy.access_instructions(plines)
         self._account(result, data=False)
@@ -103,11 +101,9 @@ class Processor:
         cycles += result.refs
         self.instructions += result.refs
         self.cycles += cycles
-        self.counters.record(CounterEvent.INSTRUCTIONS, result.refs)
-        self.counters.record(CounterEvent.CYCLES, cycles)
-        self.counters.record(CounterEvent.ECACHE_REFS, result.refs)
-        self.counters.record(CounterEvent.ECACHE_HITS, result.hits)
-        self.counters.record(CounterEvent.ECACHE_MISSES, result.misses)
+        self.counters.record_access(
+            result.refs, result.hits, result.misses, cycles
+        )
 
     # -- convenience ------------------------------------------------------
 

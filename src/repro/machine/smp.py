@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.machine.address import AddressSpace
+from repro.machine.address import AddressSpace, as_lines
 from repro.machine.backend import BACKEND_NAMES, resolve_backend
 from repro.machine.cache import AccessResult
 from repro.machine.configs import MachineConfig
@@ -43,17 +43,17 @@ class LineDirectory:
         self.num_cpus = num_cpus
         self._masks: Dict[int, int] = {}
 
-    def add(self, cpu_id: int, plines: np.ndarray) -> None:
+    def add(self, cpu_id: int, plines: List[int]) -> None:
         bit = 1 << cpu_id
         masks = self._masks
         get = masks.get
-        for pline in plines.tolist():
+        for pline in plines:
             masks[pline] = get(pline, 0) | bit
 
-    def remove(self, cpu_id: int, plines: np.ndarray) -> None:
+    def remove(self, cpu_id: int, plines: List[int]) -> None:
         keep = ~(1 << cpu_id)
         masks = self._masks
-        for pline in plines.tolist():
+        for pline in plines:
             mask = masks.get(pline)
             if mask is None:
                 continue
@@ -72,25 +72,25 @@ class LineDirectory:
         """Whether any cpu other than ``cpu_id`` caches the line."""
         return bool(self._masks.get(pline, 0) & ~(1 << cpu_id))
 
-    def count_remote(self, plines: np.ndarray, cpu_id: int) -> int:
+    def count_remote(self, plines: List[int], cpu_id: int) -> int:
         """How many of ``plines`` some other cpu caches."""
         others = ~(1 << cpu_id)
         get = self._masks.get
         count = 0
-        for pline in plines.tolist():
+        for pline in plines:
             if get(pline, 0) & others:
                 count += 1
         return count
 
     def remote_copies(
-        self, plines: np.ndarray, cpu_id: int
+        self, plines: List[int], cpu_id: int
     ) -> List[Tuple[int, List[int]]]:
         """The copies a write by ``cpu_id`` must invalidate: per other
         holder, in ascending cpu order, its lines in batch order."""
         others = ~(1 << cpu_id)
         get = self._masks.get
         remote = []
-        for pline in plines.tolist():
+        for pline in plines:
             mask = get(pline, 0) & others
             if mask:
                 remote.append((pline, mask))
@@ -179,32 +179,30 @@ class Machine:
 
     # -- execution, in virtual lines --------------------------------------
 
-    def touch(
-        self, cpu_id: int, vlines: np.ndarray, write: bool = False
-    ) -> AccessResult:
-        """Touch virtual lines on a cpu; performs coherence on writes."""
+    def touch(self, cpu_id: int, vlines, write: bool = False) -> AccessResult:
+        """Touch virtual lines (a list or an array) on a cpu; performs
+        coherence on writes."""
         cpu = self.cpus[cpu_id]
-        vlines = np.asarray(vlines, dtype=np.int64)
         if self._analytic:
             # the analytic backend prices batches in virtual-line space:
             # no TLB, no translation, no coherence -- that skipped work
             # is exactly where the sweep speedup comes from
             return cpu.touch_data(vlines, write=write)
+        lines = as_lines(vlines)
         tlb = self.tlbs[cpu_id]
-        if tlb is not None and vlines.size:
-            vpages = np.unique(vlines // self.vm.lines_per_page)
-            tlb_misses = tlb.access(vpages.tolist())
+        if tlb is not None and lines:
+            lpp = self.vm.lines_per_page
+            tlb_misses = tlb.access(sorted({v // lpp for v in lines}))
             if tlb_misses:
                 cpu.cycles += tlb_misses * tlb.miss_penalty
-        plines = self.vm.translate_lines(vlines)
+        plines = self.vm.translate_lines(lines)
         result = cpu.touch_data(plines, write=write)
         if write and self.directory is not None:
             self._invalidate_remote_copies(cpu_id, plines)
         return result
 
-    def fetch(self, cpu_id: int, vlines: np.ndarray) -> AccessResult:
+    def fetch(self, cpu_id: int, vlines) -> AccessResult:
         """Instruction-fetch virtual lines on a cpu."""
-        vlines = np.asarray(vlines, dtype=np.int64)
         if self._analytic:
             return self.cpus[cpu_id].fetch_instructions(vlines)
         plines = self.vm.translate_lines(vlines)
@@ -214,11 +212,9 @@ class Machine:
         """Run non-memory instructions on a cpu."""
         self.cpus[cpu_id].compute(instructions)
 
-    def _invalidate_remote_copies(self, writer: int, plines: np.ndarray) -> None:
+    def _invalidate_remote_copies(self, writer: int, plines: List[int]) -> None:
         for cpu_id, victims in self.directory.remote_copies(plines, writer):
-            self.cpus[cpu_id].hierarchy.invalidate(
-                np.array(victims, dtype=np.int64)
-            )
+            self.cpus[cpu_id].hierarchy.invalidate(victims)
 
     # -- clocks ------------------------------------------------------------
 

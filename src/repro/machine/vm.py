@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.machine.address import LINE_BYTES, PAGE_BYTES
+from repro.machine.address import LINE_BYTES, PAGE_BYTES, as_lines
 
 
 class PlacementPolicy:
@@ -86,7 +86,7 @@ class KesslerHillPlacement(PlacementPolicy):
         seed: int = 0,
     ):
         super().__init__(num_bins, rng, seed=seed)
-        self._bin_load = np.zeros(num_bins, dtype=np.int64)
+        self._bin_load: List[int] = [0] * num_bins
 
     def choose_bin(self, vpage: int) -> int:
         # Page coloring picks the group (so virtual locality maps to
@@ -97,16 +97,17 @@ class KesslerHillPlacement(PlacementPolicy):
         preferred = vpage % self.num_bins
         lo = (preferred // self.leaf_group) * self.leaf_group
         hi = min(lo + self.leaf_group, self.num_bins)
-        group = list(range(lo, hi))
-        loads = self._bin_load[group]
-        lightest = loads.min()
-        candidates = [b for b, load in zip(group, loads) if load == lightest]
+        loads = self._bin_load[lo:hi]
+        lightest = min(loads)
+        candidates = [
+            b for b, load in zip(range(lo, hi), loads) if load == lightest
+        ]
         best = candidates[int(self.rng.integers(len(candidates)))]
         self._bin_load[best] += 1
         return best
 
     def reset(self) -> None:
-        self._bin_load[:] = 0
+        self._bin_load = [0] * self.num_bins
 
 
 class VirtualMemory:
@@ -156,25 +157,39 @@ class VirtualMemory:
         self._p2v[ppage] = vpage
         return ppage
 
-    def translate_lines(self, vlines: np.ndarray) -> np.ndarray:
-        """Translate an array of virtual line numbers to physical lines.
+    def translate_lines(self, vlines) -> List[int]:
+        """Translate virtual line numbers (a list or an array) to a list
+        of physical lines.
 
-        One list pass: most batches are a line or two, where a Python loop
-        costs less than a single numpy call.  Missing pages fault in
-        ascending virtual page order, so the placement policy sees the
-        same fault sequence (and draws the same tie-breaks) however the
-        batch is ordered.
+        A batch that is one ascending run of lines is translated once per
+        page: each page's piece of the run is one ``range`` of physical
+        lines.  Any other batch takes one list pass.  Either way missing
+        pages fault in ascending virtual page order, so the placement
+        policy sees the same fault sequence (and draws the same
+        tie-breaks) however the batch is ordered.
         """
-        lines = np.asarray(vlines, dtype=np.int64).tolist()
+        lines = as_lines(vlines)
         lpp = self.lines_per_page
         v2p = self._v2p
+        first = lines[0] if lines else 0
+        end = first + len(lines)
+        if lines == list(range(first, end)):
+            plines: List[int] = []
+            v = first
+            while v < end:
+                vpage = v // lpp
+                stop = min(end, (vpage + 1) * lpp)
+                ppage = v2p.get(vpage)
+                if ppage is None:
+                    ppage = self._fault(vpage)
+                offset = (ppage - vpage) * lpp
+                plines += range(v + offset, stop + offset)
+                v = stop
+            return plines
         pages = [v // lpp for v in lines]
         for vpage in sorted(set(pages).difference(v2p)):
             self._fault(vpage)
-        return np.array(
-            [(v2p[p] - p) * lpp + v for p, v in zip(pages, lines)],
-            dtype=np.int64,
-        )
+        return [(v2p[p] - p) * lpp + v for p, v in zip(pages, lines)]
 
     def reverse_line(self, pline: int) -> Optional[int]:
         """Virtual line for a physical line, or ``None`` if unmapped."""
@@ -184,14 +199,15 @@ class VirtualMemory:
             return None
         return vpage * lpp + pline % lpp
 
-    def reverse_lines(self, plines: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`reverse_line`; unmapped lines map to ``-1``."""
+    def reverse_lines(self, plines) -> List[int]:
+        """Batch :meth:`reverse_line`; unmapped lines map to ``-1``."""
         lpp = self.lines_per_page
-        out = np.empty(plines.shape, dtype=np.int64)
-        for i, pline in enumerate(plines):
-            vline = self.reverse_line(int(pline))
-            out[i] = -1 if vline is None else vline
-        return out
+        p2v = self._p2v
+        vlines = []
+        for pline in as_lines(plines):
+            vpage = p2v.get(pline // lpp)
+            vlines.append(-1 if vpage is None else vpage * lpp + pline % lpp)
+        return vlines
 
     @property
     def mapped_pages(self) -> int:

@@ -20,8 +20,6 @@ import weakref
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-import numpy as np
-
 from repro.sched.base import Scheduler
 from repro.threads.thread import ActiveThread, ThreadState
 
@@ -56,11 +54,12 @@ class FCFSScheduler(Scheduler):
             return
         region = self._queue_region
         self._queue_pos = (self._queue_pos + 1) % region.num_lines
-        lines = np.asarray([region.first_line + self._queue_pos], dtype=np.int64)
         machine = self.runtime.machine
         machine.kernel_mode = True
         try:
-            machine.touch(cpu, lines, write=True)
+            machine.touch(
+                cpu, [region.first_line + self._queue_pos], write=True
+            )
         finally:
             machine.kernel_mode = False
 

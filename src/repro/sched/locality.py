@@ -30,8 +30,6 @@ import weakref
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.model import SharedStateModel
 from repro.core.priorities import CRTScheme, LFFScheme, PriorityScheme
 from repro.sched.base import Scheduler
@@ -147,16 +145,14 @@ class LocalityScheduler(Scheduler):
             return
         if on_cpu is None:
             on_cpu = heap_cpu
-        region = self._heap_regions[heap_cpu]
+        first = self._heap_regions[heap_cpu].first_line
+        heap_lines = self._heap_lines
         pos = max(1, len(self.heaps[heap_cpu]))
         line_idxs = set()
         while pos >= 1:
-            line_idxs.add((pos // ENTRIES_PER_LINE) % self._heap_lines)
+            line_idxs.add((pos // ENTRIES_PER_LINE) % heap_lines)
             pos >>= 1
-        lines = region.first_line + np.fromiter(
-            sorted(line_idxs), dtype=np.int64, count=len(line_idxs)
-        )
-        self._kernel_touch(on_cpu, lines)
+        self._kernel_touch(on_cpu, [first + i for i in sorted(line_idxs)])
 
     def _touch_entries(self, cpu: int, tids, on_cpu: Optional[int] = None) -> None:
         """Touch the priority-entry records consulted or rewritten for
@@ -165,11 +161,12 @@ class LocalityScheduler(Scheduler):
             return
         if on_cpu is None:
             on_cpu = cpu
-        region = self._entry_regions[cpu]
-        lines = region.first_line + (
-            np.asarray(sorted(set(tids)), dtype=np.int64) // 2
-        ) % self._entry_lines
-        self._kernel_touch(on_cpu, np.unique(lines))
+        first = self._entry_regions[cpu].first_line
+        entry_lines = self._entry_lines
+        lines = {
+            first + (tid // ENTRIES_PER_LINE) % entry_lines for tid in tids
+        }
+        self._kernel_touch(on_cpu, sorted(lines))
 
     def _touch_queue(self, cpu: int) -> None:
         """Touch the global queue's ring buffer slot."""
@@ -177,10 +174,9 @@ class LocalityScheduler(Scheduler):
             return
         region = self._queue_region
         self._queue_pos = (self._queue_pos + 1) % region.num_lines
-        lines = np.asarray([region.first_line + self._queue_pos], dtype=np.int64)
-        self._kernel_touch(cpu, lines)
+        self._kernel_touch(cpu, [region.first_line + self._queue_pos])
 
-    def _kernel_touch(self, cpu: int, lines: np.ndarray) -> None:
+    def _kernel_touch(self, cpu: int, lines: List[int]) -> None:
         """Scheduler data-structure traffic runs in supervisor mode, so
         user-mode-only monitors (e.g. the CML device) can exclude it."""
         machine = self.runtime.machine

@@ -62,26 +62,25 @@ class FootprintTracer(Observer):
     # -- cache event plumbing -----------------------------------------------------
 
     def _make_listener(self, cpu_id: int, installed: bool):
-        def listener(plines: np.ndarray) -> None:
+        def listener(plines: List[int]) -> None:
             self._apply(cpu_id, plines, installed)
 
         return listener
 
-    def _apply(self, cpu_id: int, plines: np.ndarray, installed: bool) -> None:
+    def _apply(self, cpu_id: int, plines: List[int], installed: bool) -> None:
         counts = self._counts[cpu_id]
         attributed = self._attributed[cpu_id]
-        reverse = self._vm.reverse_line
         state = self._state
         delta = 1 if installed else -1
-        for pline in plines.tolist():
+        # unmapped lines reverse to -1, which no thread's state holds
+        for pline, vline in zip(plines, self._vm.reverse_lines(plines)):
             if installed:
                 if pline in attributed:
                     continue  # already counted (shouldn't normally happen)
             else:
                 if pline not in attributed:
                     continue  # evicting a line we never attributed
-            vline = reverse(pline)
-            owners = state.get(vline) if vline is not None else None
+            owners = state.get(vline)
             if installed:
                 attributed.add(pline)
             else:

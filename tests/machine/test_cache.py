@@ -36,7 +36,7 @@ class TestDirectMapped:
         cache.access(lines(1))
         result = cache.access(lines(17))  # same index: 17 % 16 == 1
         assert result.misses == 1
-        assert result.evicted.tolist() == [1]
+        assert result.evicted == [1]
         assert not cache.contains(1)
         assert cache.contains(17)
 
@@ -78,15 +78,15 @@ class TestDirectMapped:
         neither net list."""
         cache = self.make(num_lines=16)
         result = cache.access(lines(1, 17))  # 1 installed, then evicted by 17
-        assert 1 not in result.installed.tolist()
-        assert 1 not in result.evicted.tolist()
-        assert result.installed.tolist() == [17]
+        assert 1 not in result.installed
+        assert 1 not in result.evicted
+        assert result.installed == [17]
         assert result.misses == 2  # raw miss count is unaffected
 
     def test_miss_lines_are_raw(self):
         cache = self.make(num_lines=16)
         result = cache.access(lines(1, 17))
-        assert result.miss_lines.tolist() == [1, 17]
+        assert result.miss_lines == [1, 17]
 
     def test_reinstall_within_batch_is_net_install(self):
         """One batch installs 1, evicts it for 17, evicts 17 and
@@ -94,12 +94,12 @@ class TestDirectMapped:
         see exactly that, once."""
         cache = self.make(num_lines=16)
         installs, evicts = [], []
-        cache.on_install(lambda arr: installs.append(arr.tolist()))
-        cache.on_evict(lambda arr: evicts.append(arr.tolist()))
+        cache.on_install(lambda plines: installs.append(list(plines)))
+        cache.on_evict(lambda plines: evicts.append(list(plines)))
         result = cache.access(lines(1, 17, 1), write=True)
-        assert result.installed.tolist() == [1]
-        assert result.evicted.tolist() == []
-        assert result.miss_lines.tolist() == [1, 17, 1]
+        assert result.installed == [1]
+        assert result.evicted == []
+        assert result.miss_lines == [1, 17, 1]
         assert (result.hits, result.misses, result.writebacks) == (0, 3, 2)
         assert installs == [[1]]
         assert evicts == []
@@ -109,11 +109,11 @@ class TestDirectMapped:
         cache = self.make(num_lines=16)
         cache.access(lines(17))
         seen = []
-        cache.on_install(lambda arr: seen.append(("in", arr.tolist())))
-        cache.on_evict(lambda arr: seen.append(("out", arr.tolist())))
+        cache.on_install(lambda plines: seen.append(("in", list(plines))))
+        cache.on_evict(lambda plines: seen.append(("out", list(plines))))
         result = cache.access(lines(1, 17))
-        assert result.installed.size == 0 and result.evicted.size == 0
-        assert result.miss_lines.tolist() == [1, 17]
+        assert result.installed == [] and result.evicted == []
+        assert result.miss_lines == [1, 17]
         assert seen == []
 
     def test_writeback_on_dirty_eviction(self):
@@ -147,7 +147,7 @@ class TestDirectMapped:
     def test_invalidate_counts_repeated_line_once(self):
         cache = self.make()
         evicted = []
-        cache.on_evict(lambda arr: evicted.extend(arr.tolist()))
+        cache.on_evict(evicted.extend)
         cache.access(lines(5))
         assert cache.invalidate(lines(5, 5)) == 1
         assert cache.stats.invalidations == 1
@@ -167,7 +167,7 @@ class TestDirectMapped:
     def test_flush_notifies_evict_listener(self):
         cache = self.make()
         seen = []
-        cache.on_evict(lambda arr: seen.extend(arr.tolist()))
+        cache.on_evict(seen.extend)
         cache.access(lines(1, 2))
         cache.flush()
         assert sorted(seen) == [1, 2]
@@ -175,7 +175,7 @@ class TestDirectMapped:
     def test_install_listener_sees_installed(self):
         cache = self.make()
         seen = []
-        cache.on_install(lambda arr: seen.extend(arr.tolist()))
+        cache.on_install(seen.extend)
         cache.access(lines(4, 5))
         assert sorted(seen) == [4, 5]
 
@@ -212,7 +212,7 @@ class TestSetAssociative:
         cache.access(lines(4))
         cache.access(lines(0))  # refresh 0
         result = cache.access(lines(8))  # set 0 full: evict LRU = 4
-        assert result.evicted.tolist() == [4]
+        assert result.evicted == [4]
         assert cache.contains(0)
 
     def test_one_way_behaves_direct_mapped(self):
@@ -252,19 +252,19 @@ class TestSetAssociative:
 class TestNetEffect:
     def test_pure_install(self):
         net_in, net_out = _net_effect([1, 2], [])
-        assert sorted(net_in.tolist()) == [1, 2]
-        assert net_out.size == 0
+        assert sorted(net_in) == [1, 2]
+        assert net_out == []
 
     def test_install_then_evict_cancels(self):
         net_in, net_out = _net_effect([1], [1])
-        assert net_in.size == 0
-        assert net_out.size == 0
+        assert net_in == []
+        assert net_out == []
 
     def test_evict_then_reinstall_cancels(self):
         net_in, net_out = _net_effect([5, 7], [7])
-        assert net_in.tolist() == [5]
-        assert net_out.size == 0
+        assert net_in == [5]
+        assert net_out == []
 
     def test_pure_evict(self):
         net_in, net_out = _net_effect([], [3])
-        assert net_out.tolist() == [3]
+        assert net_out == [3]

@@ -49,7 +49,7 @@ class TestTouchAccounting:
         assert hits == 2
 
     def test_remote_probe_prices_remote_misses(self, cpu):
-        cpu.set_remote_probe(lambda plines: plines.size)  # all remote
+        cpu.set_remote_probe(len)  # all remote
         cpu.touch_data(lines(1))
         assert cpu.cycles == SMALL.timings.l2_miss_remote + 1
 

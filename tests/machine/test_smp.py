@@ -125,9 +125,9 @@ class TestMachineDirectoryWiring:
         seen = []
         for cpu in smp.cpus:
             cpu.l2.on_evict(
-                lambda arr, _c=cpu.cpu_id: seen.append((_c, arr.tolist()))
+                lambda plines, _c=cpu.cpu_id: seen.append((_c, list(plines)))
             )
-        p1, p2 = smp.vm.translate_lines(lines(1, 2)).tolist()
+        p1, p2 = smp.vm.translate_lines(lines(1, 2))
         smp.touch(0, lines(1, 2), write=True)
         assert seen == [(1, [p2]), (3, [p1, p2])]
 
@@ -159,10 +159,10 @@ def test_directory_matches_caches(ops):
         elif op == "invalidate":
             plines = smp.vm.translate_lines(vlines)
             smp.cpus[cpu].hierarchy.invalidate(plines)
-            seen.update(plines.tolist())
+            seen.update(plines)
         else:
             smp.touch(cpu, vlines, write=op == "write")
-            seen.update(smp.vm.translate_lines(vlines).tolist())
+            seen.update(smp.vm.translate_lines(vlines))
         touched = sorted(seen)
         for pline in touched:
             holders = {c for c in cpus if smp.cpus[c].l2.contains(pline)}

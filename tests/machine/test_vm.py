@@ -50,7 +50,7 @@ class TestTranslation:
 
     def test_translate_lines_empty(self):
         vm = make_vm()
-        assert vm.translate_lines(np.empty(0, dtype=np.int64)).size == 0
+        assert vm.translate_lines(np.empty(0, dtype=np.int64)) == []
 
     def test_frame_color_matches_bin(self):
         vm = make_vm()
@@ -63,7 +63,7 @@ class TestTranslation:
         vlines = np.arange(200, dtype=np.int64)
         plines = vm.translate_lines(vlines)
         back = vm.reverse_lines(plines)
-        assert back.tolist() == vlines.tolist()
+        assert back == vlines.tolist()
 
     def test_reverse_unmapped_line_is_none(self):
         vm = make_vm()
@@ -72,7 +72,7 @@ class TestTranslation:
     def test_reverse_lines_unmapped_marked(self):
         vm = make_vm()
         out = vm.reverse_lines(np.asarray([999999], dtype=np.int64))
-        assert out.tolist() == [-1]
+        assert out == [-1]
 
     def test_mapped_pages(self):
         vm = make_vm()
@@ -114,7 +114,7 @@ class TestPlacementPolicies:
         for v in range(20):
             policy.choose_bin(v)
         policy.reset()
-        assert policy._bin_load.sum() == 0
+        assert sum(policy._bin_load) == 0
 
     def test_zero_bins_rejected(self):
         with pytest.raises(ValueError):

@@ -168,8 +168,8 @@ def test_net_effect_reconstructs_residency(batch):
     """Accumulating net install/evict events reproduces cache contents."""
     cache = DirectMappedCache(16 * 64, 64)
     resident = set()
-    cache.on_install(lambda arr: resident.update(arr.tolist()))
-    cache.on_evict(lambda arr: resident.difference_update(arr.tolist()))
+    cache.on_install(resident.update)
+    cache.on_evict(resident.difference_update)
     cache.access(np.asarray(batch, dtype=np.int64))
     assert resident == set(cache.resident_lines().tolist())
 
@@ -196,7 +196,7 @@ def test_assoc_cache_never_exceeds_capacity(accesses, ways):
 def test_net_effect_partition(installed, evicted):
     """Net lists are disjoint and only contain mentioned lines."""
     net_in, net_out = _net_effect(installed, evicted)
-    set_in, set_out = set(net_in.tolist()), set(net_out.tolist())
+    set_in, set_out = set(net_in), set(net_out)
     assert set_in.isdisjoint(set_out)
     assert set_in <= set(installed)
     assert set_out <= set(evicted)
