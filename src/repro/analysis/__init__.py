@@ -16,12 +16,10 @@ deterministic ordering, baseline suppression):
   simulator's own source against nondeterminism (DT001-DT005);
 - :mod:`repro.analysis.mc` -- the exhaustive schedule model checker
   (stateless search + DPOR) and the symbolic cache-model verification
-  (MC001-MC005);
-- :mod:`repro.analysis.staticshare` -- interprocedural static sharing
-  inference: predict the ``at_share`` graph from source without running
-  the workload, cross-validate it against the dynamic audit
-  (SA001-SA003), and feed unexercised-path candidates to the repair
-  engine.
+  (MC001-MC005).
+
+Annotations are checked dynamically only: the auditor compares each
+``at_share`` hint with the footprints one run actually touched.
 
 Entry points: ``repro analyze``, ``repro lint``, and ``repro mc`` in
 :mod:`repro.cli`, or :func:`repro.analysis.engine.run_analysis`
@@ -43,7 +41,6 @@ from repro.analysis.engine import (
     analyze_workload,
     lint_workload_names,
     run_analysis,
-    static_validate_workload,
 )
 from repro.analysis.locks import LockGraph, LockOrderMonitor, scan_workload_class
 from repro.analysis.races import RaceSanitizer
@@ -64,6 +61,5 @@ __all__ = [
     "load_baseline",
     "run_analysis",
     "scan_workload_class",
-    "static_validate_workload",
     "write_baseline",
 ]

@@ -38,9 +38,7 @@ a hand-written bad one.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from types import FrameType
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
@@ -53,39 +51,12 @@ SPURIOUS_Q = 0.05
 MIN_SHARED_LINES = 2
 MIN_SHARED_FRACTION = 0.30
 
-#: module prefixes of the plumbing between a workload's ``at_share`` call
-#: and the recording wrapper; frames from these modules are skipped when
-#: attributing an annotation to its source call site
-_PLUMBING_MODULES = (
-    "repro.threads",
-    "repro.analysis",
-    "repro.inference",
-    "repro.faults",
-)
-
-
-def annotation_call_site() -> Optional[Tuple[str, int]]:
-    """(file, line) of the workload frame that issued the current
-    ``at_share``: the nearest caller outside the annotation plumbing."""
-    frame: Optional[FrameType] = sys._getframe(1)
-    while frame is not None:
-        module = frame.f_globals.get("__name__", "")
-        if not any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in _PLUMBING_MODULES
-        ):
-            return frame.f_code.co_filename, frame.f_lineno
-        frame = frame.f_back
-    return None
-
-
 @dataclass(frozen=True)
 class EdgeObservation:
     """Everything the auditor knows about one ordered thread pair.
 
-    The raw material both :meth:`AnnotationAuditor.diagnose` and the
-    repair engine (:mod:`repro.analysis.repair`) work from: the observed
-    footprint overlap, whether the evidence rules say an edge is
+    The raw material :meth:`AnnotationAuditor.diagnose` works from: the
+    observed footprint overlap, whether the evidence rules say an edge is
     *expected*, and what (if anything) the workload annotated.
     """
 
@@ -122,8 +93,6 @@ def best_path_product(
 
     A missing direct edge is fine when a chain of annotations already
     carries the locality signal (merge: leaf -> parent -> grandparent).
-    Shared by the auditor and the repair engine, which re-evaluates
-    coverage over a candidate *repaired* edge set.
     """
     best = 0.0
     stack = [(src, 1.0, 0, frozenset([src]))]
@@ -157,9 +126,6 @@ class AnnotationAuditor:
         self.annotated: Dict[Tuple[int, int], float] = {}
         #: (src, dst) -> last q written by the online inference
         self.inferred: Dict[Tuple[int, int], float] = {}
-        #: (src, dst) -> (file, line) of the workload call that last
-        #: annotated the pair (repair localization raw material)
-        self.annotation_sites: Dict[Tuple[int, int], Tuple[str, int]] = {}
         self._in_inference = False
         inner_share = runtime.graph.share
 
@@ -172,21 +138,11 @@ class AnnotationAuditor:
                 # the complete-graph view: a zero coefficient removes the
                 # edge, so the pair reverts to unannotated
                 self.annotated.pop((src, dst), None)
-                self.annotation_sites.pop((src, dst), None)
                 return
             self.annotated[(src, dst)] = q
-            site = annotation_call_site()
-            if site is not None:
-                self.annotation_sites[(src, dst)] = site
 
         runtime.graph.share = recording_share
         runtime.add_observer(self)
-
-    @property
-    def in_inference(self) -> bool:
-        """Whether the currently-executing graph write originates from the
-        online inference observer (set by :meth:`track_inference`)."""
-        return self._in_inference
 
     def track_inference(self, inference) -> None:
         """Tag graph writes made from inside the inference observer, so
@@ -236,8 +192,6 @@ class AnnotationAuditor:
         One :class:`EdgeObservation` per candidate ordered pair: every
         pair with any discriminating-footprint overlap, plus every
         annotated pair (so spurious/mis-weighted edges are judged too).
-        The repair engine consumes this table directly -- synthesis works
-        from observations, not from parsed diagnostic messages.
         """
         touch_count: Dict[int, int] = {}
         for per_thread in self._touches.values():
@@ -342,17 +296,9 @@ class AnnotationAuditor:
 
     def diagnose(self, source: str, anchor: Optional[str] = None) -> List[Diagnostic]:
         """Diff expected sharing against annotated edges."""
-        return [diag for _key, diag in self.diagnose_pairs(source, anchor)]
-
-    def diagnose_pairs(
-        self, source: str, anchor: Optional[str] = None
-    ) -> List[Tuple[Tuple[int, int], Diagnostic]]:
-        """:meth:`diagnose`, keyed by the (src, dst) pair each finding is
-        about -- the correlation the repair engine needs to tie a fix to
-        the fingerprints it claims to resolve."""
         table = self.observations()
         an001 = self.an001_canonical(table)
-        found: List[Tuple[Tuple[int, int], Diagnostic]] = []
+        found: List[Diagnostic] = []
         for key in sorted(table):
             obs = table[key]
             names = f"{obs.src_name} -> {obs.dst_name}"
@@ -375,7 +321,7 @@ class AnnotationAuditor:
                     anchor=anchor,
                     source=source,
                 )
-                found.append((key, diag))
+                found.append(diag)
             elif obs.annotated_q is not None and obs.q_expected < SPURIOUS_Q:
                 hint = (
                     "; online inference saw sharing"
@@ -392,7 +338,7 @@ class AnnotationAuditor:
                     anchor=anchor,
                     source=source,
                 )
-                found.append((key, diag))
+                found.append(diag)
             elif (
                 obs.annotated_q is not None
                 and abs(obs.annotated_q - obs.q_expected) > WEIGHT_TOLERANCE
@@ -407,5 +353,5 @@ class AnnotationAuditor:
                     anchor=anchor,
                     source=source,
                 )
-                found.append((key, diag))
+                found.append(diag)
         return found

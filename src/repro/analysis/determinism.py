@@ -54,14 +54,6 @@ DEFAULT_TARGETS = (
     "repro/threads",
     "repro/bench",
     "repro/parallel",
-    # the repair engine rewrites shipped source and regenerates the
-    # baseline, so its own determinism is load-bearing
-    "repro/analysis/repair.py",
-    "repro/analysis/astmap.py",
-    # the static sharing inference feeds the baseline gate and the
-    # repair bridge: byte-stable output is part of its contract
-    "repro/analysis/staticshare",
-    "repro/analysis/sources.py",
 )
 
 SUPPRESS_MARK = "repro-lint: ignore"
@@ -362,7 +354,9 @@ def lint_paths(
     """Lint ``paths`` (files or directories) under ``root``.
 
     ``root`` defaults to the directory containing the ``repro`` package
-    (the ``src`` tree), so anchors come out repo-relative.
+    (the ``src`` tree), so anchors come out repo-relative.  A target
+    that does not exist raises :class:`FileNotFoundError`: walking it
+    would lint nothing and pass.
     """
     if root is None:
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -372,6 +366,8 @@ def lint_paths(
         full = target if os.path.isabs(target) else os.path.join(root, target)
         if os.path.isfile(full):
             files = [full]
+        elif not os.path.isdir(full):
+            raise FileNotFoundError(f"no such lint target: {target}")
         else:
             files = sorted(
                 os.path.join(dirpath, name)

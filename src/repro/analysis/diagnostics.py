@@ -56,16 +56,12 @@ MC004   error     priority-update-violation: an LFF context switch
 MC005   error     cache-model-violation: the closed-form footprint
                   formulas disagree with the brute-forced birth-death
                   chain, or a case-3 reduction / monotonicity law fails
-SA001   warning   static-unannotated-sharing: the static inference
-                  predicts two spawn units share state (definite or
-                  conditional tier) but no ``at_share`` covers the pair
-SA002   warning   static-unreachable-annotation: an ``at_share`` pair
-                  whose units have statically disjoint footprints -- the
-                  annotated sharing is unreachable from the source
-SA003   warning   static-dynamic-disagreement: a definite static edge
-                  the dynamic audit observed no overlap for, or a
-                  dynamically-expected pair the static pass predicts no
-                  edge for
+SA001   retired   static-unannotated-sharing: scoped to the removed
+                  static sharing inference; reserved, never reused
+SA002   retired   static-unreachable-annotation: scoped to the removed
+                  static sharing inference; reserved, never reused
+SA003   retired   static-dynamic-disagreement: scoped to the removed
+                  static sharing inference; reserved, never reused
 ======  ========  ======================================================
 """
 
@@ -96,15 +92,15 @@ CODES: Dict[str, Tuple[str, str]] = {
     "MC003": ("error", "result-divergence"),
     "MC004": ("error", "priority-update-violation"),
     "MC005": ("error", "cache-model-violation"),
-    "SA001": ("warning", "static-unannotated-sharing"),
-    "SA002": ("warning", "static-unreachable-annotation"),
-    "SA003": ("warning", "static-dynamic-disagreement"),
 }
 
 #: retired code -> short title: never emitted again, and never reassigned
 #: (a stale baseline entry must not take on a new meaning)
 RETIRED: Dict[str, str] = {
     "DT007": "registration-order-iteration",
+    "SA001": "static-unannotated-sharing",
+    "SA002": "static-unreachable-annotation",
+    "SA003": "static-dynamic-disagreement",
 }
 
 

@@ -21,15 +21,13 @@ surface ahead of the runtime's own :class:`DeadlockError`.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.annotations import AnnotationAuditor
 from repro.analysis.determinism import lint_paths
 from repro.analysis.diagnostics import Diagnostic, Report
 from repro.analysis.locks import LockOrderMonitor, scan_workload_class
 from repro.analysis.races import RaceSanitizer
-from repro.analysis.sources import SourceRegistry
 
 PASSES = ("annotations", "locks", "races")
 
@@ -69,42 +67,6 @@ def lint_workload_names() -> List[str]:
     return sorted(_lint_workloads())
 
 
-class AuditOverlay(Protocol):
-    """A hook that rewrites annotation traffic during an audited run.
-
-    The repair engine's candidate-fix overlay implements this; it is
-    installed *after* the monitors attach (so its rewrites are what the
-    auditor records) and *before* the workload builds (so it sees every
-    ``at_share`` the workload issues).
-    """
-
-    def install(
-        self, runtime: object, auditor: Optional[AnnotationAuditor]
-    ) -> None:
-        ...
-
-
-@dataclass
-class AuditRun:
-    """One instrumented run plus the live monitors that watched it.
-
-    :func:`analyze_workload` keeps only the findings; the repair engine
-    needs the auditor's observation table and the inference estimates
-    too, so :func:`audit_workload` hands the whole bundle back.
-    """
-
-    name: str
-    findings: List[Diagnostic]
-    auditor: Optional[AnnotationAuditor]
-    inference: Optional[Any]
-    workload: Any
-    anchor: Optional[str]
-
-    @property
-    def source(self) -> str:
-        return f"annotations({self.name})"
-
-
 def analyze_workload(
     name: str,
     workload_factory: Optional[Callable[[], object]] = None,
@@ -118,33 +80,6 @@ def analyze_workload(
     ``workload_factory`` overrides the registry (used by tests to analyze
     fixture workloads); ``injector`` threads a fault injector through so
     forged-edge output can be checked end-to-end.
-    """
-    return audit_workload(
-        name,
-        workload_factory=workload_factory,
-        passes=passes,
-        seed=seed,
-        with_inference=with_inference,
-        injector=injector,
-    ).findings
-
-
-def audit_workload(
-    name: str,
-    workload_factory: Optional[Callable[[], object]] = None,
-    passes: Tuple[str, ...] = PASSES,
-    seed: int = 0,
-    with_inference: bool = True,
-    injector=None,
-    overlay: Optional[AuditOverlay] = None,
-    registry: Optional[SourceRegistry] = None,
-) -> AuditRun:
-    """:func:`analyze_workload`, returning the monitors with the findings.
-
-    ``overlay`` is the repair engine's install point: a candidate fix set
-    wraps the sharing graph after the auditor does, so the re-audit judges
-    the *repaired* annotations (docs/ANALYSIS.md, Repair).  ``registry``
-    shares source parses across passes within one analysis run.
     """
     from repro.machine.configs import SMALL
     from repro.machine.smp import Machine
@@ -170,14 +105,10 @@ def audit_workload(
     )
     locks = LockOrderMonitor(runtime) if "locks" in passes else None
     races = RaceSanitizer(runtime) if "races" in passes else None
-    inference = None
     if auditor is not None and with_inference:
         from repro.inference.infer import SharingInference
 
-        inference = SharingInference(runtime, seed=seed)
-        auditor.track_inference(inference)
-    if overlay is not None:
-        overlay.install(runtime, auditor)
+        auditor.track_inference(SharingInference(runtime, seed=seed))
 
     workload.build(runtime)
     run_findings: List[Diagnostic] = []
@@ -204,25 +135,18 @@ def audit_workload(
         )
 
     found: List[Diagnostic] = []
-    anchor = _workload_anchor(type(workload))
     if auditor is not None:
+        anchor = _workload_anchor(type(workload))
         found.extend(auditor.diagnose(f"annotations({name})", anchor=anchor))
     if locks is not None:
-        static_graph, _rel = scan_workload_class(type(workload), registry=registry)
+        static_graph, _rel = scan_workload_class(type(workload))
         found.extend(static_graph.cycle_diagnostics(f"locks({name}):static"))
         found.extend(locks.diagnose(f"locks({name})"))
         found.extend(run_findings)
     if races is not None:
         found.extend(races.diagnose(f"races({name})"))
     found.sort(key=lambda d: d.sort_key)
-    return AuditRun(
-        name=name,
-        findings=found,
-        auditor=auditor,
-        inference=inference,
-        workload=workload,
-        anchor=anchor,
-    )
+    return found
 
 
 def _workload_anchor(workload_cls) -> Optional[str]:
@@ -236,33 +160,6 @@ def _workload_anchor(workload_cls) -> Optional[str]:
     return f"{rel}:{lineno}"
 
 
-def static_validate_workload(
-    name: str,
-    workload_factory: Optional[Callable[[], object]] = None,
-    registry: Optional[SourceRegistry] = None,
-    audit: Optional[AuditRun] = None,
-):
-    """The static sharing inference for one workload, cross-validated
-    against ``audit`` when one is supplied (else purely static).
-
-    Returns a :class:`~repro.analysis.staticshare.CrossValidation`, or
-    None when the workload's source cannot be analyzed.
-    """
-    from repro.analysis.staticshare import cross_validate, predict_workload
-
-    if workload_factory is None:
-        workload_factory = _lint_workloads()[name]
-    prediction = predict_workload(
-        type(workload_factory()), name, registry=registry
-    )
-    if prediction is None:
-        return None
-    observations = None
-    if audit is not None and audit.auditor is not None:
-        observations = audit.auditor.observations()
-    return cross_validate(prediction, observations, f"staticshare({name})")
-
-
 def run_analysis(
     workloads: Optional[List[str]] = None,
     passes: Tuple[str, ...] = PASSES,
@@ -270,34 +167,20 @@ def run_analysis(
     with_lint: bool = False,
     with_mc: bool = False,
     mc_budget: str = "small",
-    with_static: bool = False,
 ) -> Report:
     """Analyze the named workloads (default: all) into one report.
 
     ``with_mc`` additionally explores the model-checker fixtures and
     verifies the cache model symbolically (``repro analyze --mc``) --
     slower, so off by default; ``repro mc`` runs the same machinery with
-    its own richer output.  ``with_static`` additionally runs the static
-    sharing inference per workload and cross-validates it against the
-    dynamic audit (SA001-SA003 findings join the report).
-
-    One :class:`SourceRegistry` serves every pass, so each workload
-    module is parsed at most once per analysis run.
+    its own richer output.
     """
     from repro.analysis.diagnostics import load_baseline
 
-    registry = SourceRegistry()
     names = workloads if workloads else lint_workload_names()
     report = Report()
     for name in sorted(names):
-        audit = audit_workload(name, passes=passes, registry=registry)
-        report.extend(audit.findings)
-        if with_static:
-            validation = static_validate_workload(
-                name, registry=registry, audit=audit
-            )
-            if validation is not None:
-                report.extend(validation.diagnostics)
+        report.extend(analyze_workload(name, passes=passes))
     if with_lint:
         report.extend(lint_paths())
     if with_mc:

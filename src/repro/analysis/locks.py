@@ -32,7 +32,6 @@ import inspect
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.sources import SourceRegistry
 from repro.threads import events as ev
 from repro.threads.thread import ThreadState
 
@@ -261,21 +260,15 @@ def scan_source(tree: ast.AST, path: str) -> LockGraph:
     return graph
 
 
-def scan_workload_class(
-    workload_cls, registry: Optional[SourceRegistry] = None
-) -> Tuple[LockGraph, str]:
+def scan_workload_class(workload_cls) -> Tuple[LockGraph, str]:
     """Static scan of the module defining ``workload_cls``.
 
     Returns the graph and the repo-relative path used in anchors.
-    ``registry`` shares the module's parse with the other analysis
-    passes (astmap, staticshare); without one a throwaway registry is
-    used, preserving the one-shot behaviour.
     """
     source_file = inspect.getsourcefile(workload_cls)
-    if registry is None:
-        registry = SourceRegistry()
-    tree = registry.tree(source_file)
+    with open(source_file, "r", encoding="utf-8") as fh:
+        source = fh.read()
     marker = "repro/"
     idx = source_file.rfind(marker)
     rel = source_file[idx:] if idx >= 0 else source_file
-    return scan_source(tree, rel), rel
+    return scan_source(ast.parse(source), rel), rel

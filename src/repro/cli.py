@@ -9,8 +9,6 @@ Commands:
 - ``experiment`` regenerate a paper table/figure by name;
 - ``faults run`` the fault-injection campaign (robustness contract);
 - ``analyze``    annotation lint / lock-order / race passes (byte-stable);
-- ``staticshare``  the static sharing inference: predicted ``at_share``
-  graphs from source, cross-validated against the dynamic audit;
 - ``lint``       the repro-lint determinism pass over the simulator source;
 - ``mc``         the schedule model checker (DPOR) + symbolic cache-model
   verification (MC001-MC005);
@@ -397,8 +395,6 @@ def _cmd_analyze(args) -> int:
             return 2
         names = args.workload
     passes = tuple(args.passes or ())
-    if args.suggest or args.fix:
-        return _analyze_repair(args, names, passes)
     report = run_analysis(
         workloads=names,
         passes=passes if passes else ("annotations", "locks", "races"),
@@ -406,7 +402,6 @@ def _cmd_analyze(args) -> int:
         with_lint=args.with_lint,
         with_mc=args.mc,
         mc_budget=args.mc_budget,
-        with_static=args.static,
     )
     if args.waive:
         from repro.analysis.diagnostics import add_waiver
@@ -475,115 +470,6 @@ def _cmd_analyze(args) -> int:
             for fp in stale:
                 print(f"  {fp}", file=sys.stderr)
             failed = True
-    return 1 if failed else 0
-
-
-def _analyze_repair(args, names, passes) -> int:
-    """``repro analyze --suggest`` / ``--fix``: the repair engine."""
-    from repro.analysis import lint_workload_names, run_analysis
-    from repro.analysis.diagnostics import refresh_baseline
-    from repro.analysis.repair import (
-        apply_fixes,
-        reload_workload_modules,
-        render_report,
-        repair_workload,
-    )
-    from repro.analysis.sources import SourceRegistry
-
-    registry = SourceRegistry()
-    patched_paths = []
-    for name in sorted(names):
-        result = repair_workload(
-            name, with_static=args.static, registry=registry
-        )
-        for line in render_report(result):
-            print(line)
-        if args.fix:
-            for path in apply_fixes(result.patchable_fixes):
-                patched_paths.append(path)
-                print(f"  patched {path}")
-    if not args.fix:
-        return 0
-    if not patched_paths:
-        print("repro analyze --fix: nothing to patch")
-        return 0
-    # the repaired annotations must pass a fresh audit; regenerate the
-    # baseline so resolved findings drop out (waivers are preserved)
-    reload_workload_modules()
-    if args.baseline is None:
-        return 0
-    # the baseline file is global, so the refresh must audit every
-    # workload even when --fix targeted one -- otherwise the untargeted
-    # workloads' accepted findings would silently drop out
-    report = run_analysis(
-        workloads=lint_workload_names(),
-        passes=passes if passes else ("annotations", "locks", "races"),
-        baseline_path=args.baseline,
-        with_lint=args.with_lint,
-        with_static=args.static,
-    )
-    blocking = refresh_baseline(args.baseline, report)
-    if blocking:
-        print(
-            "repro analyze --fix: repaired run still has "
-            f"{len(blocking)} new error-severity finding(s); baseline "
-            "left untouched:",
-            file=sys.stderr,
-        )
-        for diag in blocking:
-            print(f"  {diag.render()}", file=sys.stderr)
-        return 1
-    print(
-        f"updated {args.baseline} with {len(report.diagnostics)} "
-        "fingerprint(s)"
-    )
-    return 0
-
-
-def _cmd_staticshare(args) -> int:
-    """``repro staticshare``: the static sharing inference, standalone."""
-    from repro.analysis import lint_workload_names
-    from repro.analysis.engine import audit_workload, static_validate_workload
-    from repro.analysis.sources import SourceRegistry
-    from repro.analysis.staticshare import render_prediction
-
-    names = lint_workload_names()
-    if args.workload:
-        unknown = [w for w in args.workload if w not in names]
-        if unknown:
-            print(
-                "repro staticshare: unknown workload(s) %s (choose from %s)"
-                % (", ".join(unknown), ", ".join(names)),
-                file=sys.stderr,
-            )
-            return 2
-        names = args.workload
-    registry = SourceRegistry()
-    failed = False
-    blocks = []
-    for name in sorted(names):
-        audit = None
-        if not args.no_dynamic:
-            audit = audit_workload(
-                name, passes=("annotations",), registry=registry
-            )
-        validation = static_validate_workload(
-            name, registry=registry, audit=audit
-        )
-        if validation is None:
-            print(
-                f"repro staticshare: {name}: source not statically "
-                "analyzable",
-                file=sys.stderr,
-            )
-            failed = True
-            continue
-        block = render_prediction(validation.prediction, validation)
-        for diag in validation.diagnostics:
-            block += f"\n  {diag.render()}"
-            failed = True
-        blocks.append(block)
-    print("\n\n".join(blocks))
     return 1 if failed else 0
 
 
@@ -763,7 +649,11 @@ def _cmd_bench_update(args) -> int:
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_paths
 
-    found = lint_paths(args.paths or None)
+    try:
+        found = lint_paths(args.paths or None)
+    except FileNotFoundError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     for diag in found:
         print(diag.render())
     print(f"-- repro-lint: {len(found)} finding(s)")
@@ -797,6 +687,30 @@ def _add_cache_flag(p) -> None:
     )
 
 
+def _add_workload_flags(p) -> None:
+    """The workload, machine-size and seed flags ``run`` and
+    ``compare`` share."""
+    p.add_argument("--workload", choices=sorted(PERFORMANCE_WORKLOADS),
+                   required=True)
+    p.add_argument("--cpus", type=int, default=1)
+    p.add_argument("--paper-scale", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+
+
+class _LintHelpFormatter(argparse.HelpFormatter):
+    """Names the default lint targets from ``DEFAULT_TARGETS`` when
+    ``repro lint --help`` prints, so the text cannot drift from what the
+    linter walks and building the parser imports no analysis code."""
+
+    def _get_help_string(self, action):
+        text = super()._get_help_string(action)
+        if action.dest == "paths":
+            from repro.analysis.determinism import DEFAULT_TARGETS
+
+            text += " (default: " + ", ".join(DEFAULT_TARGETS) + ")"
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -805,12 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one workload under one policy")
-    run_p.add_argument("--workload", choices=sorted(PERFORMANCE_WORKLOADS),
-                       required=True)
+    _add_workload_flags(run_p)
     run_p.add_argument("--policy", choices=sorted(SCHEDULERS), default="lff")
-    run_p.add_argument("--cpus", type=int, default=1)
-    run_p.add_argument("--paper-scale", action="store_true")
-    run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument(
         "--report", action="store_true",
         help="print the full post-run analysis instead of one row",
@@ -819,11 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="FCFS vs LFF vs CRT")
-    cmp_p.add_argument("--workload", choices=sorted(PERFORMANCE_WORKLOADS),
-                       required=True)
-    cmp_p.add_argument("--cpus", type=int, default=1)
-    cmp_p.add_argument("--paper-scale", action="store_true")
-    cmp_p.add_argument("--seed", type=int, default=0)
+    _add_workload_flags(cmp_p)
     _add_backend_flag(cmp_p)
     cmp_p.set_defaults(func=_cmd_compare)
 
@@ -953,16 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         "new error-severity findings would be buried",
     )
     analyze_p.add_argument(
-        "--suggest", action="store_true",
-        help="run the annotation repair engine and report verified "
-        "fixes + suggestions without touching any file",
-    )
-    analyze_p.add_argument(
-        "--fix", action="store_true",
-        help="apply verified literal annotation patches in place and "
-        "regenerate --baseline from the repaired workloads",
-    )
-    analyze_p.add_argument(
         "--strict-baseline", action="store_true",
         help="also fail on stale baseline entries the current run no "
         "longer produces",
@@ -976,39 +872,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--waive-reason", metavar="TEXT",
         help="justification stored with --waive",
     )
-    analyze_p.add_argument(
-        "--static", action="store_true",
-        help="also run the static sharing inference and cross-validate "
-        "it against the dynamic audit (SA001-SA003); with --suggest, "
-        "attach unexercised-path candidates from SA001 findings",
-    )
     analyze_p.set_defaults(func=_cmd_analyze)
-
-    staticshare_p = sub.add_parser(
-        "staticshare",
-        help="static sharing inference: predicted at_share graphs, "
-        "cross-validated against the dynamic audit",
-    )
-    staticshare_p.add_argument(
-        "--workload",
-        action="append",
-        help="workload to predict (repeatable; default: all)",
-    )
-    staticshare_p.add_argument(
-        "--no-dynamic", action="store_true",
-        help="skip the instrumented run; report the pure static "
-        "prediction without cross-validation",
-    )
-    staticshare_p.set_defaults(func=_cmd_staticshare)
 
     lint_p = sub.add_parser(
         "lint",
         help="repro-lint: determinism pass over the simulator source",
+        formatter_class=_LintHelpFormatter,
     )
     lint_p.add_argument(
         "paths", nargs="*",
-        help="files or directories under src/ (default: repro/sched, "
-        "repro/sim, repro/machine)",
+        help="files or directories under src/",
     )
     lint_p.set_defaults(func=_cmd_lint)
 

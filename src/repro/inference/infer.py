@@ -103,11 +103,6 @@ class SharingInference(Observer):
         self._page_owners: Dict[int, Set[int]] = {}
         # smoothed q estimates, (src, dst) -> value
         self._estimates: Dict[tuple, float] = {}
-        # peak smoothed estimate ever seen per pair; unlike _estimates
-        # this survives _forget, so post-run corroboration (the repair
-        # engine) can still see what the estimator believed about
-        # threads that have since finished
-        self._peak: Dict[tuple, float] = {}
         # last value actually written to the graph, (src, dst) -> value
         self._written: Dict[tuple, float] = {}
         self.edges_written = 0
@@ -213,8 +208,6 @@ class SharingInference(Observer):
         previous = self._estimates.get(key, 0.0)
         value = (1 - self.smoothing) * previous + self.smoothing * sample
         self._estimates[key] = value
-        if value > self._peak.get(key, 0.0):
-            self._peak[key] = value
         if value >= self.min_q:
             last = self._written.get(key)
             if last is not None and abs(value - last) < 0.1:
@@ -242,16 +235,6 @@ class SharingInference(Observer):
     def estimate(self, src: int, dst: int) -> float:
         """Current smoothed q estimate for an ordered pair."""
         return self._estimates.get((src, dst), 0.0)
-
-    def final_estimates(self) -> Dict[tuple, float]:
-        """Peak smoothed estimate per ordered pair, for corroboration.
-
-        Includes estimates that stayed below ``min_q`` (never written to
-        the graph) and pairs whose threads have finished: the repair
-        engine cross-checks synthesized fixes against these before
-        promoting a suggestion to a patch.
-        """
-        return dict(self._peak)
 
     def signature_size(self, tid: int) -> int:
         """Pages currently in a thread's signature."""

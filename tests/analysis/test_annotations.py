@@ -82,3 +82,16 @@ def test_inference_corroboration_in_messages():
     assert an001  # corroboration text is optional per-pair, code is not
     found_without = _findings(with_inference=False)
     assert {d.code for d in found_without} == {"AN001", "AN002", "AN003"}
+
+
+def test_an001_symmetric_dedupe_emits_one_direction():
+    findings = analyze_workload(
+        "misannotated",
+        workload_factory=MisannotatedWorkload,
+        passes=("annotations",),
+    )
+    an001 = [d.message for d in findings if d.code == "AN001"]
+    forward = [m for m in an001 if "sharer-a -> sharer-b" in m]
+    backward = [m for m in an001 if "sharer-b -> sharer-a" in m]
+    assert len(forward) == 1
+    assert backward == []

@@ -7,7 +7,10 @@ from repro.analysis.diagnostics import (
     RETIRED,
     Diagnostic,
     Report,
+    add_waiver,
     load_baseline,
+    load_waivers,
+    refresh_baseline,
     write_baseline,
 )
 
@@ -17,11 +20,12 @@ def test_unknown_code_rejected():
         Diagnostic(code="XX999", message="nope")
 
 
-def test_retired_code_is_reserved_not_reusable():
-    assert "DT007" in RETIRED
+@pytest.mark.parametrize("code", ["DT007", "SA001", "SA002", "SA003"])
+def test_retired_code_is_reserved_not_reusable(code):
+    assert code in RETIRED
     assert not set(RETIRED) & set(CODES)
     with pytest.raises(ValueError, match="retired"):
-        Diagnostic(code="DT007", message="nope")
+        Diagnostic(code=code, message="nope")
 
 
 def test_severity_and_title_come_from_registry():
@@ -85,3 +89,64 @@ def test_baseline_roundtrip_suppresses(tmp_path):
 
 def test_missing_baseline_file_is_empty(tmp_path):
     assert load_baseline(str(tmp_path / "nope.txt")) == set()
+
+
+# -- waivers ------------------------------------------------------------------
+
+
+def _report(*diags):
+    report = Report()
+    report.extend(diags)
+    report.finalize()
+    return report
+
+
+def test_waiver_round_trip(tmp_path):
+    baseline = str(tmp_path / "base.txt")
+    diag = Diagnostic(code="RS001", message="benign race", source="races(x)")
+    report = _report(diag)
+    write_baseline(baseline, report, waivers={diag.fingerprint(): "by design"})
+    assert load_waivers(baseline) == {diag.fingerprint(): "by design"}
+    assert diag.fingerprint() in load_baseline(baseline)
+
+
+def test_update_baseline_preserves_waivers(tmp_path):
+    baseline = str(tmp_path / "base.txt")
+    diag = Diagnostic(code="RS001", message="benign race", source="races(x)")
+    write_baseline(
+        baseline, _report(diag), waivers={diag.fingerprint(): "by design"}
+    )
+    # refresh with the same finding plus a new warning
+    extra = Diagnostic(code="AN002", message="spurious", source="annotations(x)")
+    blocking = refresh_baseline(baseline, _report(diag, extra))
+    assert blocking == []
+    assert load_waivers(baseline) == {diag.fingerprint(): "by design"}
+    assert extra.fingerprint() in load_baseline(baseline)
+
+
+def test_add_waiver_refuses_new_error_severity(tmp_path):
+    baseline = tmp_path / "base.txt"
+    baseline.write_text("# empty\n")
+    error_diag = Diagnostic(code="LK001", message="cycle", source="locks(x)")
+    report = _report(error_diag)
+    message = add_waiver(
+        str(baseline), report, error_diag.fingerprint(), "please ignore"
+    )
+    assert message is not None and "refusing" in message
+    assert baseline.read_text() == "# empty\n"  # untouched
+
+
+def test_add_waiver_unknown_fingerprint_rejected(tmp_path):
+    baseline = tmp_path / "base.txt"
+    baseline.write_text("# empty\n")
+    message = add_waiver(str(baseline), _report(), "cafecafecafe", "reason")
+    assert message is not None and "no current finding" in message
+
+
+def test_checked_in_waivers_justify_every_rs001():
+    """The shipped baseline documents why each merge race is accepted."""
+    waivers = load_waivers("analysis-baseline.txt")
+    accepted = load_baseline("analysis-baseline.txt")
+    assert accepted, "baseline is empty"
+    assert set(waivers) == accepted  # every remaining entry is waived
+    assert all("by-design" in reason for reason in waivers.values())

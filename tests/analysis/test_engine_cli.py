@@ -1,5 +1,10 @@
 """The analyze driver and its CLI surface: determinism, baseline gate."""
 
+import os
+import shutil
+
+import repro
+from repro.analysis.determinism import DEFAULT_TARGETS
 from repro.analysis.engine import (
     analyze_workload,
     lint_workload_names,
@@ -42,8 +47,8 @@ def test_cli_analyze_clean_workload_exits_zero(capsys):
 
 
 def test_cli_analyze_findings_without_baseline_exit_one(capsys):
-    # tsp's annotation findings were repaired (repro analyze --fix);
-    # merge still carries its by-design, waived RS001 findings
+    # tsp's annotations carry no findings; merge still carries its
+    # by-design, waived RS001 findings
     code = main(["analyze", "--workload", "merge"])
     out = capsys.readouterr().out
     assert code == 1
@@ -76,10 +81,23 @@ def test_cli_analyze_pass_selection(capsys):
 
 
 def test_cli_lint_shipped_source_exits_zero(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    for target in DEFAULT_TARGETS:
+        assert os.path.exists(os.path.join(src, target)), target
     code = main(["lint"])
     out = capsys.readouterr().out
     assert code == 0
     assert "0 finding(s)" in out
+
+
+def test_cli_lint_missing_path_exits_two(capsys):
+    code = main(["lint", "repro/no_such_dir"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "repro lint: no such lint target: repro/no_such_dir"
+    ]
 
 
 def test_cli_lint_flags_bad_file(tmp_path, capsys):
@@ -89,6 +107,29 @@ def test_cli_lint_flags_bad_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "DT003" in out
+
+
+def test_strict_baseline_fails_on_stale_entries(tmp_path, capsys):
+    baseline = tmp_path / "base.txt"
+    shutil.copy("analysis-baseline.txt", baseline)
+    with open(baseline, "a", encoding="utf-8") as fh:
+        fh.write("deadbeefcafe  RS001 a finding nobody produces anymore\n")
+    code = main(
+        ["analyze", "--workload", "merge", "--baseline", str(baseline),
+         "--strict-baseline"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "stale" in err
+    assert "deadbeefcafe" in err
+
+
+def test_strict_baseline_passes_when_exact(capsys):
+    code = main(
+        ["analyze", "--workload", "merge", "--baseline",
+         "analysis-baseline.txt", "--strict-baseline"]
+    )
+    assert code == 0
 
 
 def test_cli_analyze_update_baseline_roundtrip(tmp_path, capsys):
