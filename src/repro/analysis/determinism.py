@@ -354,16 +354,21 @@ def lint_paths(
     """Lint ``paths`` (files or directories) under ``root``.
 
     ``root`` defaults to the directory containing the ``repro`` package
-    (the ``src`` tree), so anchors come out repo-relative.  A target
-    that does not exist raises :class:`FileNotFoundError`: walking it
-    would lint nothing and pass.
+    (the ``src`` tree), so anchors come out repo-relative.  A relative
+    target is looked up under ``root`` first, then in the working
+    directory, so ``repro/sched`` and (from the repo root)
+    ``src/repro/sched`` name the same files and lint to the same
+    anchors.  A target that exists in neither place raises
+    :class:`FileNotFoundError`: walking it would lint nothing and pass.
     """
     if root is None:
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     targets = list(paths) if paths else list(DEFAULT_TARGETS)
     found: List[Diagnostic] = []
     for target in targets:
-        full = target if os.path.isabs(target) else os.path.join(root, target)
+        full = os.path.join(root, target)
+        if not os.path.exists(full) and os.path.exists(target):
+            full = os.path.abspath(target)
         if os.path.isfile(full):
             files = [full]
         elif not os.path.isdir(full):

@@ -215,7 +215,7 @@ def write_baseline(
     waivers = waivers or {}
     lines = [
         "# repro analyze baseline: accepted diagnostic fingerprints.",
-        "# Regenerate with `repro analyze --all-workloads --write-baseline`.",
+        "# Regenerate with `repro analyze --baseline FILE --write-baseline`.",
         "# A `# waive: <reason>` suffix records why a finding is accepted",
         "# as permanently unfixable (preserved by --update-baseline).",
     ]

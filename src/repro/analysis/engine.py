@@ -24,7 +24,6 @@ import inspect
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.annotations import AnnotationAuditor
-from repro.analysis.determinism import lint_paths
 from repro.analysis.diagnostics import Diagnostic, Report
 from repro.analysis.locks import LockOrderMonitor, scan_workload_class
 from repro.analysis.races import RaceSanitizer
@@ -164,16 +163,11 @@ def run_analysis(
     workloads: Optional[List[str]] = None,
     passes: Tuple[str, ...] = PASSES,
     baseline_path: Optional[str] = None,
-    with_lint: bool = False,
-    with_mc: bool = False,
-    mc_budget: str = "small",
 ) -> Report:
     """Analyze the named workloads (default: all) into one report.
 
-    ``with_mc`` additionally explores the model-checker fixtures and
-    verifies the cache model symbolically (``repro analyze --mc``) --
-    slower, so off by default; ``repro mc`` runs the same machinery with
-    its own richer output.
+    The determinism lint and the model checker are their own commands
+    (``repro lint``, ``repro mc``) and are not folded in here.
     """
     from repro.analysis.diagnostics import load_baseline
 
@@ -181,20 +175,6 @@ def run_analysis(
     report = Report()
     for name in sorted(names):
         report.extend(analyze_workload(name, passes=passes))
-    if with_lint:
-        report.extend(lint_paths())
-    if with_mc:
-        from repro.analysis.mc import (
-            BUDGETS,
-            explore_all,
-            verify_cache_model,
-        )
-
-        budget = BUDGETS[mc_budget]
-        _results, mc_diags = explore_all(budget)
-        report.extend(mc_diags)
-        model_diags, _stats = verify_cache_model()
-        report.extend(model_diags)
     if baseline_path is not None:
         report.baseline = load_baseline(baseline_path)
     report.finalize()

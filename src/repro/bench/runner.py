@@ -20,9 +20,8 @@ from typing import (
 )
 
 from repro.bench.clock import Clock, perf_clock
-from repro.bench.registry import Benchmark, get_benchmark, suite_benchmarks
+from repro.bench.registry import Benchmark, suite_benchmarks
 from repro.bench.stats import RepeatPolicy, Stats, collect
-from repro.parallel import Shard, ShardOutcome, merged_values, run_shards
 
 T = TypeVar("T")
 
@@ -83,58 +82,22 @@ def run_benchmark(
     )
 
 
-def _bench_shard(
-    name: str, policy: Optional[RepeatPolicy]
-) -> BenchResult:
-    """Worker entry point: one registered benchmark, audited clock.
-
-    Each shard times through :data:`~repro.bench.clock.perf_clock` in
-    its own process, so wall-clock numbers are comparable only within a
-    shard -- which is all the harness ever does (medians and spreads
-    are per-benchmark, never cross-benchmark).
-    """
-    return run_benchmark(get_benchmark(name), policy=policy)
-
-
 def run_suite(
     suite: str,
     clock: Clock = perf_clock,
     policy: Optional[RepeatPolicy] = None,
     progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
 ) -> SuiteResult:
-    """Run every benchmark of ``suite``; KeyError when the suite is
-    empty/unknown.
+    """Run every benchmark of ``suite`` one after another; KeyError when
+    the suite is empty/unknown.
 
-    With ``jobs > 1`` benchmarks run on a :mod:`repro.parallel` process
-    pool, one shard per benchmark, merged back into registry order.
-    Benchmarks never use the result cache -- a cached timing would
-    report the machine state of a past run.  Parallel workers
-    always time through the audited ``perf_clock``, so a custom
-    ``clock`` (the tests' fake clocks) forces the serial path; note
-    that co-scheduled benchmarks can contend for cores, so gating
-    comparisons should keep using serial runs on loaded machines.
+    Benchmarks run serially and never use the result cache: concurrent
+    benchmarks contend for cores, and a cached timing would report the
+    machine state of a past run.
     """
     benches = suite_benchmarks(suite)
     if not benches:
         raise KeyError(f"unknown or empty suite {suite!r}")
-    if jobs > 1 and clock is perf_clock:
-        shards = [
-            Shard(
-                index=i,
-                key=f"bench/{bench.name}",
-                fn="repro.bench.runner:_bench_shard",
-                params={"name": bench.name, "policy": policy},
-            )
-            for i, bench in enumerate(benches)
-        ]
-
-        def _progress(outcome: ShardOutcome, done: int, total: int) -> None:
-            if progress is not None:
-                progress(outcome.shard.key.split("/", 1)[1])
-
-        outcomes = run_shards(shards, jobs=jobs, progress=_progress)
-        return SuiteResult(suite=suite, results=tuple(merged_values(outcomes)))
     results = []
     for bench in benches:
         if progress is not None:

@@ -13,15 +13,15 @@ Commands:
 - ``mc``         the schedule model checker (DPOR) + symbolic cache-model
   verification (MC001-MC005);
 - ``bench``      the performance-regression harness: ``run`` a suite to
-  ``BENCH_<suite>.json``, ``compare`` two result files with noise-aware
-  thresholds, ``update-baseline`` to re-record a checked-in baseline.
+  ``BENCH_<suite>.json`` (re-recording a checked-in baseline is a
+  ``run`` over it), ``compare`` two result files with noise-aware
+  thresholds.
 
-The sweep commands (``faults run``, ``experiment``, ``mc``,
-``bench run``) take ``--jobs N`` to shard over a process pool via
-:mod:`repro.parallel`; output is bit-identical to ``--jobs 1``
-(docs/PARALLEL.md).  ``--cache-dir`` (not on ``bench``) makes the
-sweep resumable via the content-addressed result cache without
-changing the output.
+The sweep commands (``faults run``, ``experiment``, ``mc``) take
+``--jobs N`` to shard over a process pool via :mod:`repro.parallel`;
+output is bit-identical to ``--jobs 1`` (docs/PARALLEL.md).
+``--cache-dir`` makes the sweep resumable via the content-addressed
+result cache without changing the output.
 
 Everything except ``bench`` (which measures host wall time) is
 deterministic given ``--seed``.
@@ -30,6 +30,7 @@ deterministic given ``--seed``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -318,15 +319,15 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.name == "fig9" and args.machine_backend == "analytic":
+    if args.name == "fig9" and args.backend == "analytic":
         return _analytic_refused(
-            "experiment fig9", "--machine-backend", E5000_8CPU.num_cpus
+            "experiment fig9", "--backend", E5000_8CPU.num_cpus
         )
     registry = _experiment_registry()
     print(
         registry[args.name](
             jobs=args.jobs,
-            machine_backend=args.machine_backend,
+            machine_backend=args.backend,
             cache=_result_cache(args),
         )
     )
@@ -384,7 +385,7 @@ def _cmd_analyze(args) -> int:
     )
 
     names = lint_workload_names()
-    if not args.all_workloads and args.workload:
+    if args.workload:
         unknown = [w for w in args.workload if w not in names]
         if unknown:
             print(
@@ -399,9 +400,6 @@ def _cmd_analyze(args) -> int:
         workloads=names,
         passes=passes if passes else ("annotations", "locks", "races"),
         baseline_path=args.baseline,
-        with_lint=args.with_lint,
-        with_mc=args.mc,
-        mc_budget=args.mc_budget,
     )
     if args.waive:
         from repro.analysis.diagnostics import add_waiver
@@ -495,7 +493,6 @@ def _cmd_mc(args) -> int:
     results, diagnostics = explore_all(
         BUDGETS[args.budget],
         fixtures=fixtures,
-        dpor=not args.no_dpor,
         chaos=not args.no_chaos,
         jobs=args.jobs,
         progress=_shard_progress if args.jobs > 1 else None,
@@ -519,14 +516,15 @@ def _cmd_mc(args) -> int:
 
 
 def _parse_regress(text: str) -> float:
-    """Parse a regression threshold: '40%', '40', or '0.4' all mean 40%."""
+    """Parse a regression threshold written as a percentage: '40%' means
+    0.4.  A bare number is rejected, since '1' could mean 1% or 100%,
+    and so is 'nan%'/'inf%', under which nothing would ever regress."""
     raw = text.strip()
-    percent = raw.endswith("%")
-    value = float(raw.rstrip("%"))
-    if percent or value > 1.0:
-        value /= 100.0
-    if value < 0.0:
-        raise ValueError("threshold must be non-negative")
+    if not raw.endswith("%"):
+        raise ValueError("threshold must be written as N%")
+    value = float(raw[:-1]) / 100.0
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError("threshold must be a finite non-negative N%")
     return value
 
 
@@ -549,7 +547,6 @@ def _cmd_bench_run(args) -> int:
     result = run_suite(
         args.suite,
         progress=lambda name: print(f"  running {name} ...", file=sys.stderr),
-        jobs=args.jobs,
     )
     out = args.out or default_baseline_path(args.suite)
     write_suite(out, result)
@@ -602,48 +599,9 @@ def _cmd_bench_compare(args) -> int:
                 f"  running {name} ...", file=sys.stderr
             ),
         )
-    result = compare(
-        baseline, fresh, max_regress=threshold,
-        noise_aware=not args.no_noise,
-    )
+    result = compare(baseline, fresh, max_regress=threshold)
     print(format_comparison(result))
     return 0 if result.ok else 1
-
-
-def _cmd_bench_update(args) -> int:
-    import os
-
-    from repro.bench import (
-        compare,
-        default_baseline_path,
-        format_comparison,
-        load_suite,
-        run_suite,
-        suite_names,
-        write_suite,
-    )
-
-    if args.suite not in suite_names():
-        print(
-            "repro bench update-baseline: unknown suite %r (choose from %s)"
-            % (args.suite, ", ".join(suite_names())),
-            file=sys.stderr,
-        )
-        return 2
-    path = args.baseline or default_baseline_path(args.suite)
-    result = run_suite(
-        args.suite,
-        progress=lambda name: print(f"  running {name} ...", file=sys.stderr),
-    )
-    if os.path.exists(path):
-        # informational diff against the baseline being replaced
-        try:
-            print(format_comparison(compare(load_suite(path), result)))
-        except Exception as exc:  # old file unreadable: still replace it
-            print(f"(old baseline unreadable: {exc})", file=sys.stderr)
-    write_suite(path, result)
-    print(f"updated {path}")
-    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -662,9 +620,7 @@ def _cmd_lint(args) -> int:
 
 def _add_backend_flag(p) -> None:
     """The ``--backend`` flag of the simulation-running commands: it
-    selects the *cache model*.  The ``experiment`` command spells the
-    same choice ``--machine-backend``.
-    """
+    selects the *cache model*."""
     from repro.machine.backend import BACKEND_NAMES, DEFAULT_BACKEND
 
     p.add_argument(
@@ -673,13 +629,19 @@ def _add_backend_flag(p) -> None:
         "simulated hierarchy with coherence, 'analytic' prices misses "
         "with the closed-form reuse-distance model and no coherence -- "
         "faster, approximate within the bounds the analytic-oracle CI "
-        "job pins on 1-cpu FCFS, and refused for --cpus > 1 "
-        "(docs/MODEL.md 'When to trust it')",
+        "job pins on 1-cpu FCFS, and refused for multi-cpu runs "
+        "(--cpus > 1, experiment fig9; docs/MODEL.md 'When to trust it')",
     )
 
 
-def _add_cache_flag(p) -> None:
-    """The ``--cache-dir`` flag the cached sweep commands share."""
+def _add_sweep_flags(p) -> None:
+    """The ``--jobs`` and ``--cache-dir`` flags the sharded sweep
+    commands share."""
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the sharded sweep; the output is "
+        "bit-identical to --jobs 1",
+    )
     p.add_argument(
         "--cache-dir", dest="cache_dir", metavar="DIR",
         help="content-addressed result cache directory: finished "
@@ -759,20 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
             "table3", "table5", "fairness", "inference", "offline",
         ],
     )
-    exp_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for sharded sweeps (offline); results are "
-        "bit-identical to --jobs 1",
-    )
-    _add_cache_flag(exp_p)
-    exp_p.add_argument(
-        "--machine-backend", dest="machine_backend",
-        choices=("sim", "analytic"), default="sim",
-        help="cache backend for the simulated runs: 'analytic' prices "
-        "misses with the closed-form reuse-distance model and no "
-        "coherence; refused for the 8-cpu fig9 (docs/MODEL.md 'When to "
-        "trust it')",
-    )
+    _add_sweep_flags(exp_p)
+    _add_backend_flag(exp_p)
     exp_p.set_defaults(func=_cmd_experiment)
 
     faults_p = sub.add_parser(
@@ -804,12 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", choices=("smoke", "default"), default="smoke"
     )
     faults_run_p.add_argument("--seed", type=int, default=0)
-    faults_run_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes ((workload, policy) pairs fan out; the "
-        "merged table is bit-identical to --jobs 1)",
-    )
-    _add_cache_flag(faults_run_p)
+    _add_sweep_flags(faults_run_p)
     faults_run_p.set_defaults(func=_cmd_faults_run)
 
     analyze_p = sub.add_parser(
@@ -820,10 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload",
         action="append",
         help="workload to analyze (repeatable; default: all)",
-    )
-    analyze_p.add_argument(
-        "--all-workloads", action="store_true",
-        help="analyze every registered workload",
     )
     analyze_p.add_argument(
         "--pass",
@@ -839,19 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument(
         "--write-baseline", action="store_true",
         help="accept all current findings into --baseline and exit",
-    )
-    analyze_p.add_argument(
-        "--with-lint", action="store_true",
-        help="also run the repro-lint determinism pass",
-    )
-    analyze_p.add_argument(
-        "--mc", action="store_true",
-        help="also run the schedule model checker and the symbolic "
-        "cache-model verification (slower)",
-    )
-    analyze_p.add_argument(
-        "--mc-budget", choices=("small", "full"), default="small",
-        help="exploration budget for --mc (default: small)",
     )
     analyze_p.add_argument(
         "--update-baseline", action="store_true",
@@ -881,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_p.add_argument(
         "paths", nargs="*",
-        help="files or directories under src/",
+        help="files or directories (under src/, else the working directory)",
     )
     lint_p.set_defaults(func=_cmd_lint)
 
@@ -899,10 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exploration budget (full raises the preemption bound to 1)",
     )
     mc_p.add_argument(
-        "--no-dpor", action="store_true",
-        help="disable partial-order reduction: enumerate every schedule",
-    )
-    mc_p.add_argument(
         "--no-chaos", action="store_true",
         help="skip the re-exploration under corrupted annotations",
     )
@@ -910,12 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--skip-model", action="store_true",
         help="skip the symbolic cache-model sweep",
     )
-    mc_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (fixtures fan out; the merged report is "
-        "bit-identical to --jobs 1)",
-    )
-    _add_cache_flag(mc_p)
+    _add_sweep_flags(mc_p)
     mc_p.set_defaults(func=_cmd_mc)
 
     bench_p = sub.add_parser(
@@ -935,13 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         help="output JSON path (default: BENCH_<suite>.json in the cwd)",
     )
-    bench_run_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes, one benchmark per shard (timing stays "
-        "per-shard through the audited clock; co-scheduled shards can "
-        "contend, so gate comparisons serially)",
-    )
-    # no --cache-dir: a cached timing would report a past machine state
+    # no --jobs/--cache-dir: concurrent benchmarks contend for cores,
+    # and a cached timing would report a past machine state
     bench_run_p.set_defaults(func=_cmd_bench_run)
 
     bench_cmp_p = bench_sub.add_parser(
@@ -958,27 +872,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_cmp_p.add_argument(
         "--max-regress", default="25%",
-        help="median-regression threshold, e.g. '40%%' (default: 25%%)",
-    )
-    bench_cmp_p.add_argument(
-        "--no-noise", action="store_true",
-        help="disable noise-aware threshold widening",
+        help="median-regression threshold as a percentage, e.g. '40%%' "
+        "(default: 25%%)",
     )
     bench_cmp_p.set_defaults(func=_cmd_bench_compare)
-
-    bench_up_p = bench_sub.add_parser(
-        "update-baseline",
-        help="re-run a suite and overwrite its checked-in baseline",
-    )
-    bench_up_p.add_argument(
-        "--suite", default="smoke",
-        help="suite name (default: smoke)",
-    )
-    bench_up_p.add_argument(
-        "--baseline",
-        help="baseline path to write (default: BENCH_<suite>.json)",
-    )
-    bench_up_p.set_defaults(func=_cmd_bench_update)
 
     return parser
 

@@ -1,7 +1,7 @@
 """``repro.parallel``: the deterministic sharded execution engine.
 
 Every heavy driver in this repository -- the fault campaign, the DPOR
-explorer, the experiment sweeps, ``repro bench run`` -- is a fan-out
+explorer, the offline experiment sweep -- is a fan-out
 over independent cells: pure functions of ``(callable, seed, params)``.
 This package runs those cells on workers and merges the results so that
 an ``N``-worker run is **bit-identical** to the serial run: work is

@@ -90,6 +90,20 @@ def test_cli_lint_shipped_source_exits_zero(capsys):
     assert "0 finding(s)" in out
 
 
+def test_cli_lint_accepts_paths_relative_to_the_working_directory(
+    capsys, monkeypatch
+):
+    """From the repo root, ``src/repro/sched`` names the same files as
+    ``repro/sched`` (resolved under ``src/``) and lints identically."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    monkeypatch.chdir(os.path.dirname(src))
+    outputs = []
+    for target in ("src/repro/sched", "repro/sched"):
+        assert main(["lint", target]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_lint_missing_path_exits_two(capsys):
     code = main(["lint", "repro/no_such_dir"])
     captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Exit codes and file behaviour of ``repro bench run|compare|update-baseline``.
+"""Exit codes and file behaviour of ``repro bench run|compare``.
 
 A tiny private suite (one no-op benchmark, single-shot policy) is
 registered once for this module so the CLI paths that *run* a suite do
@@ -30,7 +30,7 @@ def _noop_benchmark():
 
 @pytest.mark.parametrize(
     "text,expected",
-    [("40%", 0.4), ("40", 0.4), ("0.4", 0.4), ("25%", 0.25), ("150", 1.5)],
+    [("40%", 0.4), ("25%", 0.25)],
 )
 def test_parse_regress(text, expected):
     assert _parse_regress(text) == pytest.approx(expected)
@@ -39,6 +39,20 @@ def test_parse_regress(text, expected):
 def test_parse_regress_rejects_negative():
     with pytest.raises(ValueError):
         _parse_regress("-5%")
+
+
+@pytest.mark.parametrize("text", ["40", "0.4", "150", "nan%", "inf%"])
+def test_parse_regress_rejects(text):
+    """A bare number is ambiguous ('1' read as 100%, '2' as 2%), so only
+    the N% form is accepted; a non-finite N% would let nothing regress."""
+    with pytest.raises(ValueError):
+        _parse_regress(text)
+
+
+def test_compare_bare_max_regress_exits_2(capsys):
+    assert main(["bench", "compare", "--baseline", "unused.json",
+                 "--max-regress", "1"]) == 2
+    assert "bad --max-regress" in capsys.readouterr().err
 
 
 # -- bench run ---------------------------------------------------------------
@@ -144,35 +158,3 @@ def test_compare_unknown_suite_in_baseline_needs_new(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["bench", "compare", "--baseline", str(path)]) == 2
     assert "pass --new" in capsys.readouterr().err
-
-
-# -- bench update-baseline ---------------------------------------------------
-
-
-def test_update_baseline_writes_and_diffs(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    path = str(tmp_path / "BENCH_clitest.json")
-    assert (
-        main(
-            ["bench", "update-baseline", "--suite", _SUITE,
-             "--baseline", path]
-        )
-        == 0
-    )
-    assert load_suite(path).suite == _SUITE
-    first = capsys.readouterr().out
-    assert f"updated {path}" in first
-    # second update prints the informational diff against the old file
-    assert (
-        main(
-            ["bench", "update-baseline", "--suite", _SUITE,
-             "--baseline", path]
-        )
-        == 0
-    )
-    assert "baseline suite" in capsys.readouterr().out
-
-
-def test_update_baseline_unknown_suite_exits_2(capsys):
-    assert main(["bench", "update-baseline", "--suite", "nonesuch"]) == 2
-    assert "unknown suite" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -34,6 +36,47 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["faults"])
 
+    def test_cli_surface_is_exactly_the_tested_options(self):
+        """Every (subcommand, option) pair the parser accepts.  A new
+        knob must show up here as a deliberate diff."""
+
+        def surface(parser, prefix=()):
+            pairs = set()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        pairs |= surface(sub, prefix + (name,))
+                elif not isinstance(action, argparse._HelpAction):
+                    flag = (action.option_strings or [action.dest])[0]
+                    pairs.add((" ".join(prefix), flag))
+            return pairs
+
+        workload = {"--workload", "--cpus", "--paper-scale", "--seed",
+                    "--backend"}
+        sweep = {"--jobs", "--cache-dir"}
+        expected = {
+            "run": workload | {"--policy", "--report"},
+            "compare": workload,
+            "trace": {"--app", "--seed", "--backend"},
+            "model": {"--lines", "--initial", "--q", "--misses"},
+            "experiment": sweep | {"name", "--backend"},
+            "faults run": sweep | {"--workload", "--fault", "--policy",
+                                   "--scale", "--seed"},
+            "analyze": {"--workload", "--pass", "--baseline",
+                        "--write-baseline", "--update-baseline",
+                        "--strict-baseline", "--waive", "--waive-reason"},
+            "lint": {"paths"},
+            "mc": sweep | {"--fixture", "--budget", "--no-chaos",
+                           "--skip-model"},
+            "bench run": {"--suite", "--out"},
+            "bench compare": {"--baseline", "--new", "--max-regress"},
+        }
+        assert surface(build_parser()) == {
+            (command, flag)
+            for command, flags in expected.items()
+            for flag in flags
+        }
+
 
 class TestCommands:
     def test_model_command(self, capsys):
@@ -49,6 +92,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tsp" in out
         assert "E-misses" in out
+
+    def test_run_report_is_deterministic(self, capsys):
+        argv = ["run", "--workload", "tsp", "--policy", "fcfs", "--report"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        cpu_header = lines.index("Per-cpu totals") + 1
+        assert lines[cpu_header].split()[0] == "cpu"
+        assert lines[cpu_header + 2].split()[0] == "0"  # cpu 0's row
+        threads = [line for line in lines if line.startswith("tsp-node-")]
+        assert len(threads) == 8  # the heaviest-threads table
 
     def test_trace_command(self, capsys):
         assert main(["trace", "--app", "fmm"]) == 0
@@ -82,7 +139,7 @@ class TestCommands:
              "--backend", "analytic"],
             ["compare", "--workload", "tasks", "--cpus", "2",
              "--backend", "analytic"],
-            ["experiment", "fig9", "--machine-backend", "analytic"],
+            ["experiment", "fig9", "--backend", "analytic"],
         ],
     )
     def test_multicpu_analytic_is_refused(self, capsys, argv):
