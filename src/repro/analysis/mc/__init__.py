@@ -16,8 +16,8 @@ verification of the shared-state cache model:
   closed-form footprint formulas on all small caches.
 
 Findings surface as ``MC001``--``MC005`` diagnostics through the shared
-:mod:`repro.analysis.diagnostics` machinery; entry points are ``repro
-mc`` and ``repro analyze --mc``.
+:mod:`repro.analysis.diagnostics` machinery; the entry point is ``repro
+mc``.
 """
 
 from repro.analysis.mc.controller import (

@@ -6,15 +6,13 @@ locality priority schemes built on it.
   dependent threads, kept as an executable cross-check of the closed form.
 - :mod:`repro.core.sharing` -- the state dependency graph G built by
   ``at_share`` annotations (section 2.3).
-- :mod:`repro.core.footprints` -- the on-line footprint estimator with lazy
-  decay (the O(d)-per-switch bookkeeping of section 4).
 - :mod:`repro.core.priorities` -- the LFF and CRT log-space priority
   schemes with precomputed tables and FP-operation accounting (sections
-  4.1-4.2, Table 3).
+  4.1-4.2, Table 3); their lazily decayed entries are the on-line E[F]
+  bookkeeping, O(d) per switch (section 4).
 """
 
 from repro.core.assoc import AssocTables, AssociativeStateModel
-from repro.core.footprints import FootprintEstimator
 from repro.core.markov import (
     dependent_transition_matrix,
     expected_footprint_markov,
@@ -35,7 +33,6 @@ __all__ = [
     "AssocTables",
     "AssociativeStateModel",
     "CRTScheme",
-    "FootprintEstimator",
     "LFFScheme",
     "PrecomputedTables",
     "PriorityEntry",

@@ -1,11 +1,13 @@
 """The scheduling loop: the event queue and the engine that drives it.
 
 - :class:`EventKind` / :class:`Event` / :class:`EventQueue` -- a
-  deterministic heap-ordered event queue.  Sleep timers, periodic
-  realtime wakeups, scheduler ticks and quantum expiries all live here;
-  ties are broken by ``(time, seq, tid)`` where ``seq`` is the
-  queue-assigned schedule order, so replay is exact and pop order is a
-  pure function of the schedule calls, never of heap insertion layout.
+  deterministic heap-ordered event queue.  The only scheduled events are
+  ``Sleep`` timers: threads switch context only when they block, yield,
+  sleep or finish, as in the paper, so there are no time slices or
+  periodic ticks.  Ties are broken by ``(time, seq, tid)`` where ``seq``
+  is the queue-assigned schedule order, so replay is exact and pop order
+  is a pure function of the schedule calls, never of heap insertion
+  layout.
 - :class:`EventEngine` -- the runtime's only scheduling loop
   (:meth:`repro.threads.runtime.Runtime.run` delegates to it).  Each
   iteration the cpu with the smallest clock acts: it fires the events
@@ -64,9 +66,7 @@ from typing import (
 )
 
 from repro.machine.counters import CounterEvent
-from repro.threads import events as ev
 from repro.threads.errors import StepBudgetExceeded
-from repro.threads.thread import ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.threads.runtime import Runtime
@@ -82,24 +82,11 @@ class EventKind(IntEnum):
                               blocks are synchronous in this simulator, so
                               the kind is recorded to the event log, never
                               scheduled into the future
-    ``QUANTUM_EXPIRE``        time-slice preemption deadline armed at
-                              dispatch when ``Runtime(quantum=N)``; fires a
-                              synthetic ``Yield`` if the same dispatch is
-                              still running
-    ``SCHED_TICK``            periodic callback into the runtime
-                              (:meth:`Runtime.schedule_tick`)
-    ``RT_PERIOD_START``       periodic early wakeup of a realtime/server
-                              thread (:meth:`Runtime.at_periodic`); bumps
-                              the thread's ``ready_seq`` so its pending
-                              ``THREAD_WAKEUP`` is lazily invalidated
     ========================  ==============================================
     """
 
     THREAD_WAKEUP = 0
     THREAD_BLOCK = 1
-    QUANTUM_EXPIRE = 2
-    SCHED_TICK = 3
-    RT_PERIOD_START = 4
 
 
 class Event:
@@ -111,7 +98,7 @@ class Event:
     pinned by the hypothesis test in ``tests/sim/test_events.py``).
     """
 
-    __slots__ = ("time", "seq", "tid", "kind", "data", "cancelled")
+    __slots__ = ("time", "seq", "tid", "kind", "data")
 
     def __init__(
         self, time: int, seq: int, tid: int, kind: EventKind, data: Any
@@ -121,7 +108,6 @@ class Event:
         self.tid = tid
         self.kind = kind
         self.data = data
-        self.cancelled = False
 
     def sort_key(self) -> Tuple[int, int, int]:
         return (self.time, self.seq, self.tid)
@@ -188,103 +174,43 @@ class EventQueue:
     def schedule(
         self, time: int, kind: EventKind, tid: int, data: Any = None
     ) -> Event:
-        """Schedule an event; returns it (keep it to :meth:`cancel`)."""
+        """Schedule an event; returns it."""
         self._seq += 1
         event = Event(time, self._seq, tid, kind, data)
         heapq.heappush(self.heap, event)
         self.pushes += 1
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Lazily cancel a scheduled event (skipped when popped)."""
-        event.cancelled = True
-
-    def peek(self) -> Optional[Event]:
-        """The next live event without popping it."""
-        heap = self.heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self.pops += 1
-        return heap[0] if heap else None
-
-    def next_time(self) -> Optional[int]:
-        """Simulated time of the next live event, if any."""
-        event = self.peek()
-        return None if event is None else event.time
-
     def pop(self) -> Optional[Event]:
-        """Pop the next live event (``None`` when empty)."""
+        """Pop the next event (``None`` when empty)."""
         heap = self.heap
-        while heap:
-            event = heapq.heappop(heap)
-            self.pops += 1
-            if not event.cancelled:
-                return event
-        return None
+        if not heap:
+            return None
+        self.pops += 1
+        return heapq.heappop(heap)
 
     # -- firing --------------------------------------------------------------
 
     def fire_due(self, runtime: "Runtime", now: int) -> None:
-        """Fire every live event with ``time <= now``, in key order.
+        """Fire every event with ``time <= now``, in key order.
 
         This is the loop's single dispatch point for queued events.
-        ``now`` is the acting cpu's cycle clock.
+        ``now`` is the acting cpu's cycle clock.  Only ``Sleep`` timers
+        are ever scheduled, and nothing else wakes a sleeping thread, so
+        each fired timer wakes its thread.
         """
         heap = self.heap
         while heap and heap[0].time <= now:
             event = heapq.heappop(heap)
             self.pops += 1
-            if event.cancelled:
-                continue
             if self.log is not None:
                 self._log(event)
-            kind = event.kind
-            if kind is EventKind.THREAD_WAKEUP:
-                thread, seq = event.data
-                # lazy invalidation: an early wake (RT_PERIOD_START)
-                # bumped ready_seq, making this timer stale
-                if (
-                    thread.state is ThreadState.SLEEPING
-                    and thread.ready_seq == seq
-                ):
-                    runtime.timer_wakeups += 1
-                    runtime._wake(thread)
-            elif kind is EventKind.SCHED_TICK:
-                callback, period = event.data
-                callback(runtime, event.time)
-                if period and runtime._live > 0:
-                    self.schedule(
-                        event.time + period, EventKind.SCHED_TICK,
-                        event.tid, event.data,
-                    )
-            elif kind is EventKind.RT_PERIOD_START:
-                period = event.data
-                thread = runtime.threads.get(event.tid)
-                if thread is None or not thread.alive:
-                    continue
-                if thread.state is ThreadState.SLEEPING:
-                    runtime.early_wakeups += 1
-                    runtime._wake(thread)
-                self.schedule(
-                    event.time + period, EventKind.RT_PERIOD_START,
-                    event.tid, period,
-                )
-            elif kind is EventKind.QUANTUM_EXPIRE:
-                cpu, thread, gen = event.data
-                if (
-                    runtime._current[cpu] is thread
-                    and runtime._dispatch_gens[cpu] == gen
-                ):
-                    # forced preemption: a synthetic Yield, exactly the
-                    # schedule controller's mechanism -- the body
-                    # generator is NOT advanced
-                    runtime.preemptions += 1
-                    runtime.events_executed += 1
-                    runtime._execute(cpu, thread, ev.Yield())
             # THREAD_BLOCK is emitted to the log, never scheduled; a
             # future kind reaching here would be silently dropped, so:
-            elif kind is not EventKind.THREAD_BLOCK:  # pragma: no cover
-                raise ValueError(f"unhandled event kind {kind!r}")
+            if event.kind is not EventKind.THREAD_WAKEUP:  # pragma: no cover
+                raise ValueError(f"unhandled event kind {event.kind!r}")
+            runtime.timer_wakeups += 1
+            runtime._wake(event.data)
 
 
 class EventEngine:
@@ -417,9 +343,8 @@ class EventEngine:
                 continue
             runtime.loop_steps += 1
             if due:
-                # firing can preempt or wake, so current[] is read after
+                # firing only wakes sleepers: current[] does not change
                 queue.fire_due(runtime, best)
-                thread = current[cpu]
             if thread is not None:
                 step(cpu, thread)
                 continue

@@ -13,16 +13,12 @@ approaches can be compared head to head:
 - :func:`footprint_curve_from_trace` replays a thread's trace through a
   private direct-mapped cache, producing the observed footprint as a
   function of misses -- exactly what the on-line model predicts from a
-  counter value alone;
-- :func:`reuse_distance_histogram` and :func:`working_set_sizes` are the
-  standard trace analyses (stack distances, Denning working sets) a
-  trace-driven study would report.
+  counter value alone.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -130,49 +126,3 @@ def footprint_curve_from_trace(
         xs.append(misses)
         ys.append(footprint)
     return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-
-
-def reuse_distance_histogram(
-    trace: np.ndarray, max_distance: Optional[int] = None
-) -> Dict[int, int]:
-    """LRU stack distances: unique lines touched between successive uses.
-
-    Cold references get distance -1.  ``max_distance`` lumps longer
-    distances into one bucket (keyed by ``max_distance``).
-    """
-    stack: "OrderedDict[int, None]" = OrderedDict()
-    histogram: Dict[int, int] = {}
-    for line in np.asarray(trace, dtype=np.int64).tolist():
-        if line in stack:
-            distance = 0
-            for key in reversed(stack):
-                if key == line:
-                    break
-                distance += 1
-            if max_distance is not None and distance > max_distance:
-                distance = max_distance
-            stack.move_to_end(line)
-        else:
-            distance = -1
-            stack[line] = None
-        histogram[distance] = histogram.get(distance, 0) + 1
-    return histogram
-
-
-def working_set_sizes(trace: np.ndarray, window: int) -> np.ndarray:
-    """Denning working sets: distinct lines in each trailing window."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    trace = np.asarray(trace, dtype=np.int64)
-    sizes = np.empty(max(0, trace.size - window + 1), dtype=np.int64)
-    counts: Dict[int, int] = {}
-    for i, line in enumerate(trace.tolist()):
-        counts[line] = counts.get(line, 0) + 1
-        if i >= window:
-            old = int(trace[i - window])
-            counts[old] -= 1
-            if counts[old] == 0:
-                del counts[old]
-        if i >= window - 1:
-            sizes[i - window + 1] = len(counts)
-    return sizes

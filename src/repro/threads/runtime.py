@@ -13,9 +13,8 @@ docs/MODEL.md "The scheduling loop"): it parks idle cpus and replays their
 failed picks as O(1) arithmetic, so blocked and sleeping threads cost no
 Python work.  ``Runtime(engine="stepped")`` turns parking off, giving the
 never-park reference the parity tests compare against; the counters are
-bit-identical either way.  Sleep timers, periodic realtime wakeups,
-scheduler ticks and quantum expiries all live in one deterministic
-:class:`~repro.sim.events.EventQueue`.
+bit-identical either way.  Sleep timers, the only events scheduled into
+the future, live in one deterministic :class:`~repro.sim.events.EventQueue`.
 A thread runs until it blocks, yields, sleeps or finishes -- the paper's
 scheduling interval -- at which point the runtime performs the paper's
 context-switch protocol: read the PICs to get the interval's miss count
@@ -156,17 +155,11 @@ class Runtime:
         injector=None,
         controller=None,
         engine: str = "event",
-        quantum: Optional[int] = None,
     ) -> None:
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {self.ENGINES}"
             )
-        if quantum is not None and quantum <= 0:
-            raise ValueError("quantum must be a positive cycle count")
-        #: optional time-slice in cycles: arms a QUANTUM_EXPIRE event at
-        #: every dispatch; expiry forces a synthetic Yield
-        self.quantum = quantum
         self.machine = machine
         self.scheduler = scheduler
         #: optional fault injector (see repro.faults): corrupts the hint
@@ -214,17 +207,13 @@ class Runtime:
         # which imports this module (same idiom as run_hardened)
         from repro.sim import events as sim_events
 
-        #: the deterministic event queue: sleep timers (THREAD_WAKEUP),
-        #: periodic realtime wakeups, scheduler ticks and quantum
-        #: expiries, ordered by (time, seq, tid)
+        #: the deterministic event queue of sleep timers (THREAD_WAKEUP),
+        #: ordered by (time, seq, tid)
         self.event_queue = sim_events.EventQueue()
         self._event_kinds = sim_events.EventKind
         #: the scheduling loop; it persists across run() calls so the
         #: watchdog's chunked supervision resumes parked state exactly
         self._engine = sim_events.EventEngine(self, park=engine == "event")
-        #: per-cpu dispatch generation, bumped on every successful
-        #: dispatch; lazily invalidates armed QUANTUM_EXPIRE events
-        self._dispatch_gens: List[int] = [0] * machine.config.num_cpus
         self._stepping: Optional[ActiveThread] = None
         self.last_touch_lines: Optional[np.ndarray] = None
         self.context_switches = 0
@@ -232,10 +221,6 @@ class Runtime:
         #: THREAD_WAKEUP timers that actually woke a thread -- event-time
         #: progress, the signal the watchdog's stall detector keys on
         self.timer_wakeups = 0
-        #: RT_PERIOD_START early wakeups delivered
-        self.early_wakeups = 0
-        #: QUANTUM_EXPIRE forced preemptions delivered
-        self.preemptions = 0
         #: audited count of full (faithful) scheduling-loop iterations;
         #: the loop's O(events) complexity claim with parking on is
         #: asserted on this counter (tests/sim/test_events.py)
@@ -388,49 +373,6 @@ class Runtime:
         """Look up a thread by tid."""
         return self.threads[tid]
 
-    # -- event-queue services (docs/MODEL.md "The scheduling loop") ----------
-
-    def at_periodic(
-        self, tid: int, period: int, start: Optional[int] = None
-    ) -> None:
-        """Mark ``tid`` as a periodic (realtime/server) thread.
-
-        Arms an ``RT_PERIOD_START`` event every ``period`` cycles
-        (first at ``start``, default one period from now): if the thread
-        is sleeping at a period boundary it is woken early, modelling a
-        periodic server loop with deadline-driven wakeups.  The early
-        wake bumps ``ready_seq`` so the thread's own pending sleep timer
-        is lazily invalidated rather than double-firing.
-        """
-        if period <= 0:
-            raise ValueError("period must be a positive cycle count")
-        if tid not in self.threads:
-            raise ThreadError(f"at_periodic on unknown tid {tid}")
-        first = self.machine.time() + period if start is None else start
-        self.event_queue.schedule(
-            first, self._event_kinds.RT_PERIOD_START, tid, period
-        )
-
-    def schedule_tick(
-        self,
-        period: int,
-        callback: Callable[["Runtime", int], None],
-        start: Optional[int] = None,
-    ) -> None:
-        """Arm a periodic ``SCHED_TICK`` callback.
-
-        ``callback(runtime, fire_time)`` runs every ``period`` cycles of
-        simulated time (first at ``start``, default one period from now)
-        while any thread is alive -- the hook progress samplers and
-        periodic diagnostics ride on.
-        """
-        if period <= 0:
-            raise ValueError("period must be a positive cycle count")
-        first = self.machine.time() + period if start is None else start
-        self.event_queue.schedule(
-            first, self._event_kinds.SCHED_TICK, 0, (callback, period)
-        )
-
     # -- the scheduling loop -------------------------------------------------
 
     def run(self, max_events: Optional[int] = None) -> None:
@@ -500,15 +442,6 @@ class Runtime:
         thread.last_cpu = cpu
         self._current[cpu] = thread
         self._charge(cpu, self.scheduler.thread_dispatched(cpu, thread))
-        if self.quantum is not None:
-            gen = self._dispatch_gens[cpu] + 1
-            self._dispatch_gens[cpu] = gen
-            self.event_queue.schedule(
-                self.machine.cycles(cpu) + self.quantum,
-                self._event_kinds.QUANTUM_EXPIRE,
-                thread.tid,
-                (cpu, thread, gen),
-            )
         for observer in self._dispatch_observers:
             observer.on_dispatch(cpu, thread)
         return thread
@@ -751,13 +684,12 @@ class Runtime:
     def _exec_sleep(self, cpu: int, thread: ActiveThread, event) -> None:
         thread.state = ThreadState.SLEEPING
         self._end_interval(cpu, thread, finished=False)
-        # ready_seq rides along so an early wake (RT_PERIOD_START) lazily
-        # invalidates this timer instead of double-waking the thread
+        # only this timer wakes a sleeping thread
         self.event_queue.schedule(
             self.machine.cycles(cpu) + event.cycles,
             self._event_kinds.THREAD_WAKEUP,
             thread.tid,
-            (thread, thread.ready_seq),
+            thread,
         )
 
     def _cond_wait(self, cpu: int, thread: ActiveThread, event: ev.CondWait) -> None:

@@ -1,5 +1,7 @@
 """Diagnostic framework: codes, ordering, fingerprints, baselines."""
 
+import re
+
 import pytest
 
 from repro.analysis.diagnostics import (
@@ -13,6 +15,7 @@ from repro.analysis.diagnostics import (
     refresh_baseline,
     write_baseline,
 )
+from repro.cli import build_parser
 
 
 def test_unknown_code_rejected():
@@ -150,3 +153,20 @@ def test_checked_in_waivers_justify_every_rs001():
     assert accepted, "baseline is empty"
     assert set(waivers) == accepted  # every remaining entry is waived
     assert all("by-design" in reason for reason in waivers.values())
+
+
+def test_checked_in_baseline_header_names_a_working_command(tmp_path):
+    """The shipped baseline's header is the one ``write_baseline`` emits,
+    and the regenerate command it names parses: a renamed flag cannot
+    leave the file telling readers to run a command that exits 2."""
+    fresh = tmp_path / "fresh.txt"
+    write_baseline(str(fresh), _report())
+    header = fresh.read_text(encoding="utf-8").splitlines()
+    with open("analysis-baseline.txt", encoding="utf-8") as fh:
+        shipped = fh.read().splitlines()
+    assert shipped[: len(header)] == header
+    named = re.findall(r"`repro ([^`]+)`", "\n".join(header))
+    assert len(named) == 1
+    argv = named[0].replace("FILE", "analysis-baseline.txt").split()
+    args = build_parser().parse_args(argv)
+    assert args.command == "analyze"

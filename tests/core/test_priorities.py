@@ -95,6 +95,49 @@ class TestSchemeCommon:
         assert scheme.entry(0, 3).version == v3
 
     @pytest.mark.parametrize("scheme_cls", [LFFScheme, CRTScheme])
+    def test_dependent_matches_case3(self, scheme_cls):
+        graph = SharingGraph()
+        graph.share(1, 2, 0.5)
+        scheme = make(scheme_cls, graph=graph)
+        scheme.on_dispatch(0, 1)
+        scheme.on_block(0, 1, 40)
+        assert scheme.current_footprint(0, 2) == pytest.approx(
+            scheme.model.expected_dependent(0, 0.5, 40), rel=1e-6
+        )
+
+    @pytest.mark.parametrize("scheme_cls", [LFFScheme, CRTScheme])
+    def test_only_out_edges_update(self, scheme_cls):
+        graph = SharingGraph()
+        graph.share(2, 1, 0.5)  # 1 depends on 2, not vice versa
+        scheme = make(scheme_cls, graph=graph)
+        scheme.on_dispatch(0, 1)
+        scheme.on_block(0, 1, 40)
+        assert scheme.current_footprint(0, 2) == 0.0
+
+    @pytest.mark.parametrize("scheme_cls", [LFFScheme, CRTScheme])
+    def test_dependent_decays_before_dependent_update(self, scheme_cls):
+        """A dependent's stale value is first decayed to the interval
+        start, then the case-3 update is applied."""
+        graph = SharingGraph()
+        graph.share(1, 2, 0.5)
+        scheme = make(scheme_cls, graph=graph)
+        model = scheme.model
+        # give thread 2 its own state first
+        scheme.on_dispatch(0, 2)
+        scheme.on_block(0, 2, 30)
+        s2 = scheme.current_footprint(0, 2)
+        # an unrelated interval decays it
+        scheme.on_dispatch(0, 3)
+        scheme.on_block(0, 3, 20)
+        decayed = model.expected_independent(s2, 20)
+        # now thread 1 runs: dependent update from the decayed base
+        scheme.on_dispatch(0, 1)
+        scheme.on_block(0, 1, 10)
+        assert scheme.current_footprint(0, 2) == pytest.approx(
+            model.expected_dependent(decayed, 0.5, 10), rel=1e-6
+        )
+
+    @pytest.mark.parametrize("scheme_cls", [LFFScheme, CRTScheme])
     def test_version_bumps_on_update(self, scheme_cls):
         scheme = make(scheme_cls)
         scheme.on_dispatch(0, 1)

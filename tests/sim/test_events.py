@@ -2,8 +2,7 @@
 
 Covers the queue's deterministic ``(time, seq, tid)`` ordering (including
 a hypothesis proof that pop order is independent of heap insertion
-order), the semantics of each :class:`EventKind` with parking on and
-off, and the audited step-count complexity claims: with parking on the
+order), ``Sleep`` timers waking their threads, and the audited step-count complexity claims: with parking on the
 faithful loop iterations are O(executed events), where the never-park
 loop pays O(cpus) idle iterations per busy step.  Bit-parity between the
 two modes is pinned separately, cell by cell, in
@@ -15,15 +14,13 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from repro.machine.configs import SMALL
 from repro.machine.smp import Machine
 from repro.sched import SCHEDULERS
 from repro.sched.fcfs import FCFSScheduler
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.threads.errors import StepBudgetExceeded
-from repro.threads.events import Compute, Sleep
+from repro.threads.events import Sleep
 from repro.threads.runtime import Runtime
 from repro.workloads.server import ServerParams, ServerWorkload
 
@@ -78,27 +75,6 @@ class TestEventQueue:
         assert queue.pop() is first
         assert queue.pop() is second
 
-    def test_cancel_is_lazy_and_skipped(self):
-        queue = EventQueue()
-        keep = queue.schedule(1, EventKind.THREAD_WAKEUP, 1)
-        drop = queue.schedule(2, EventKind.THREAD_WAKEUP, 2)
-        tail = queue.schedule(3, EventKind.THREAD_WAKEUP, 3)
-        queue.cancel(drop)
-        assert len(queue) == 3  # cancellation does not touch the heap
-        assert queue.pop() is keep
-        assert queue.pop() is tail
-        assert queue.pop() is None
-
-    def test_peek_and_next_time_skip_cancelled(self):
-        queue = EventQueue()
-        assert queue.peek() is None
-        assert queue.next_time() is None
-        head = queue.schedule(5, EventKind.THREAD_WAKEUP, 1)
-        queue.schedule(9, EventKind.THREAD_WAKEUP, 2)
-        queue.cancel(head)
-        assert queue.next_time() == 9
-        assert queue.peek().tid == 2
-
     def test_emit_logs_without_scheduling(self):
         queue = EventQueue()
         queue.enable_log(limit=2)
@@ -115,85 +91,14 @@ class TestEventQueue:
 # -- event kinds, end to end --------------------------------------------------
 
 
-def _new_runtime(cpus: int = 1, engine: str = "stepped", **kwargs) -> Runtime:
+def _new_runtime(cpus: int = 1, engine: str = "stepped") -> Runtime:
     machine = Machine(SMALL.with_cpus(cpus), seed=7)
     return Runtime(
-        machine,
-        FCFSScheduler(model_scheduler_memory=False),
-        engine=engine,
-        **kwargs,
+        machine, FCFSScheduler(model_scheduler_memory=False), engine=engine
     )
 
 
 class TestEventKinds:
-    @pytest.mark.parametrize("engine", Runtime.ENGINES)
-    def test_quantum_expire_preempts_long_intervals(self, engine):
-        runtime = _new_runtime(engine=engine, quantum=500)
-
-        def body():
-            for _ in range(4):
-                yield Compute(1_000)
-
-        runtime.at_create(body, name="a")
-        runtime.at_create(body, name="b")
-        runtime.run()
-        assert runtime.preemptions > 0
-        assert all(not t.alive for t in runtime.threads.values())
-        # the preemption is a forced context switch, so the two threads
-        # interleave instead of running back to back
-        assert runtime.context_switches > 2
-
-    def test_quantum_expire_is_generation_guarded(self):
-        """An expiry armed for an earlier dispatch of the same thread on
-        the same cpu must not preempt a later dispatch."""
-        runtime = _new_runtime(quantum=600)
-
-        def sleeper():
-            yield Compute(100)
-            yield Sleep(5_000)  # outlives the armed expiry
-            yield Compute(100)
-
-        runtime.at_create(sleeper, name="sleeper")
-        runtime.run()
-        assert runtime.preemptions == 0
-
-    @pytest.mark.parametrize("engine", Runtime.ENGINES)
-    def test_sched_tick_fires_periodically_while_live(self, engine):
-        runtime = _new_runtime(engine=engine)
-        fires = []
-
-        def body():
-            yield Compute(5_000)
-
-        runtime.at_create(body, name="worker")
-        runtime.schedule_tick(1_000, lambda rt, now: fires.append(now))
-        runtime.run()
-        assert fires
-        assert fires == [1_000 * (i + 1) for i in range(len(fires))]
-        # ticks stop once the last thread dies (no infinite reschedule)
-        assert fires[-1] <= runtime.machine.time() + 1_000
-
-    @pytest.mark.parametrize("engine", Runtime.ENGINES)
-    def test_rt_period_start_early_wakes_and_invalidates_timer(
-        self, engine
-    ):
-        runtime = _new_runtime(engine=engine)
-
-        def body():
-            yield Compute(10)
-            yield Sleep(50_000)
-            yield Compute(10)
-
-        tid = runtime.at_create(body, name="rt")
-        runtime.at_periodic(tid, 2_000)
-        runtime.run()
-        # the period boundary woke the sleeper long before its timer ...
-        assert runtime.early_wakeups >= 1
-        assert runtime.machine.time() < 50_000
-        # ... and bumped ready_seq, so the stale sleep timer was lazily
-        # invalidated rather than waking the thread twice
-        assert runtime.timer_wakeups == 0
-
     def test_timer_wakeups_audited(self):
         runtime = _new_runtime()
 

@@ -1,4 +1,4 @@
-"""Tests for trace recording and offline analyses."""
+"""Tests for trace recording and the offline footprint curve."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.sim.trace import (
     TraceBudgetExceeded,
     TracingRuntimeAdapter,
     footprint_curve_from_trace,
-    reuse_distance_histogram,
-    working_set_sizes,
 )
 from repro.threads.events import Compute, Touch
 from repro.threads.runtime import Runtime
@@ -92,40 +90,3 @@ class TestFootprintReplay:
     def test_invalid_cache_rejected(self):
         with pytest.raises(ValueError):
             footprint_curve_from_trace(np.arange(3), cache_lines=0)
-
-
-class TestReuseDistances:
-    def test_cold_references(self):
-        h = reuse_distance_histogram(np.asarray([1, 2, 3]))
-        assert h == {-1: 3}
-
-    def test_immediate_reuse_distance_zero(self):
-        h = reuse_distance_histogram(np.asarray([1, 1]))
-        assert h[0] == 1
-
-    def test_distance_counts_unique_intervening(self):
-        h = reuse_distance_histogram(np.asarray([1, 2, 3, 1]))
-        assert h[2] == 1  # lines 2, 3 between uses of 1
-
-    def test_max_distance_bucket(self):
-        h = reuse_distance_histogram(
-            np.asarray([1, 2, 3, 4, 1]), max_distance=2
-        )
-        assert h[2] == 1  # the distance-3 reuse lumped into bucket 2
-
-
-class TestWorkingSets:
-    def test_constant_stream(self):
-        sizes = working_set_sizes(np.asarray([7] * 10), window=4)
-        assert sizes.tolist() == [1] * 7
-
-    def test_distinct_stream(self):
-        sizes = working_set_sizes(np.arange(6), window=3)
-        assert sizes.tolist() == [3, 3, 3, 3]
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            working_set_sizes(np.arange(3), window=0)
-
-    def test_short_trace(self):
-        assert working_set_sizes(np.arange(2), window=5).size == 0
